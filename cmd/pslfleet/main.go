@@ -2,9 +2,9 @@
 // internal/fleet and emits its JSON report on stdout: an origin
 // publishing snapshot deltas, an optional relay tier re-serving and
 // compacting them, and up to thousands of edge replicas polling with
-// skewed jitter while churn and chaos-proxy faults run at the
-// configured tiers. Everything derives from -seed, so a run is
-// replayable.
+// skewed jitter while churn and the -failpoints spec's wire faults
+// (sites net.origin and net.relay) and storage faults run. Everything
+// derives from -seed, so a run is replayable.
 //
 // With -compare it runs the configured topology AND its single-tier
 // equivalent (same seed and edges, no relays) and reports both, plus
@@ -23,18 +23,20 @@
 //	-start-head N        initially published version (default 0 = auto)
 //	-head-step N         versions published per advance (default 2)
 //	-advance-every D     head publish cadence (default duration/10)
-//	-duration D          churn-and-chaos phase length (default 2s)
+//	-duration D          churn-and-fault phase length (default 2s)
 //	-base-poll D         median edge poll interval (default 50ms)
 //	-poll-skew F         lognormal sigma of per-edge intervals (default 0.5)
 //	-churn F             fraction of edges killed mid-run (default 0)
 //	-rejoin-delay D      victim replacement delay (default duration/8)
-//	-chaos-rate F        fault-injection rate on -chaos-tiers (default 0)
-//	-chaos-tiers LIST    comma-separated: origin,relay (default none)
 //	-max-hop N           max patch span per hop (default 16)
 //	-sample-every D      lag sampler cadence (default duration/10)
 //	-converge-timeout D  post-run convergence window (default 30s)
-//	-failpoints SPEC     err-mode storage-fault spec armed for the run
-//	                     (e.g. 'dist.state.sync=err(0.4,errno=EIO)')
+//	-failpoints SPEC     fault spec armed for the run (no crash terms):
+//	                     wire kinds on net.origin (the origin tier) and
+//	                     net.relay (every relay), healed when -duration
+//	                     ends, e.g. 'net.relay=reset(0.01)|stall(0.01,d=250ms)';
+//	                     storage faults on dist.state.*, e.g.
+//	                     'dist.state.sync=err(0.4,errno=EIO)'
 //	-edge-state          give every edge an in-memory state dir so the
 //	                     dist.state.* sites fire under churn
 //	-compare             also run the single-tier baseline
@@ -69,7 +71,6 @@ type config struct {
 // invocation fails here, before any simulation starts.
 func parseFlags(args []string) (config, error) {
 	var cfg config
-	var chaosTiers string
 	fs := flag.NewFlagSet("pslfleet", flag.ContinueOnError)
 	fs.Int64Var(&cfg.fleet.Seed, "seed", 1, "master seed for the whole run")
 	fs.IntVar(&cfg.fleet.Edges, "edges", 100, "edge replica population")
@@ -79,17 +80,15 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.fleet.StartHead, "start-head", 0, "initially published version (0 = auto)")
 	fs.IntVar(&cfg.fleet.HeadStep, "head-step", 0, "versions published per advance (0 = default)")
 	fs.DurationVar(&cfg.fleet.AdvanceEvery, "advance-every", 0, "head publish cadence (0 = duration/10)")
-	fs.DurationVar(&cfg.fleet.Duration, "duration", 0, "churn-and-chaos phase length (0 = default 2s)")
+	fs.DurationVar(&cfg.fleet.Duration, "duration", 0, "churn-and-fault phase length (0 = default 2s)")
 	fs.DurationVar(&cfg.fleet.BasePoll, "base-poll", 0, "median edge poll interval (0 = default 50ms)")
 	fs.Float64Var(&cfg.fleet.PollSkew, "poll-skew", 0.5, "lognormal sigma of per-edge poll intervals")
 	fs.Float64Var(&cfg.fleet.ChurnFraction, "churn", 0, "fraction of edges killed mid-run")
 	fs.DurationVar(&cfg.fleet.RejoinDelay, "rejoin-delay", 0, "victim replacement delay (0 = duration/8)")
-	fs.Float64Var(&cfg.fleet.ChaosRate, "chaos-rate", 0, "fault-injection rate on -chaos-tiers")
-	fs.StringVar(&chaosTiers, "chaos-tiers", "", "comma-separated tiers to fault: origin,relay")
 	fs.IntVar(&cfg.fleet.MaxHop, "max-hop", 0, "max patch span per hop (0 = default 16)")
 	fs.DurationVar(&cfg.fleet.SampleEvery, "sample-every", 0, "lag sampler cadence (0 = duration/10)")
 	fs.DurationVar(&cfg.fleet.ConvergeTimeout, "converge-timeout", 0, "post-run convergence window (0 = default 30s)")
-	fs.StringVar(&cfg.fleet.Failpoints, "failpoints", "", "err-mode storage-fault spec armed for the run")
+	fs.StringVar(&cfg.fleet.Failpoints, "failpoints", "", "fault spec armed for the run: wire kinds on net.origin/net.relay, err on dist.state.*")
 	fs.BoolVar(&cfg.fleet.EdgeState, "edge-state", false, "give every edge an in-memory state dir (fires dist.state.* sites)")
 	fs.BoolVar(&cfg.compare, "compare", false, "also run the single-tier baseline with the same seed")
 	fs.BoolVar(&cfg.check, "check", false, "exit non-zero unless the run passes its invariants")
@@ -111,9 +110,6 @@ func parseFlags(args []string) (config, error) {
 	if cfg.fleet.ChurnFraction < 0 || cfg.fleet.ChurnFraction > 1 {
 		return config{}, fmt.Errorf("-churn %v out of range [0, 1]", cfg.fleet.ChurnFraction)
 	}
-	if cfg.fleet.ChaosRate < 0 || cfg.fleet.ChaosRate > 1 {
-		return config{}, fmt.Errorf("-chaos-rate %v out of range [0, 1]", cfg.fleet.ChaosRate)
-	}
 	if cfg.fleet.PollSkew < 0 {
 		return config{}, fmt.Errorf("-poll-skew %v is negative", cfg.fleet.PollSkew)
 	}
@@ -132,27 +128,22 @@ func parseFlags(args []string) (config, error) {
 			return config{}, fmt.Errorf("%s %v is negative", d.name, d.v)
 		}
 	}
-	if chaosTiers != "" {
-		for _, tier := range strings.Split(chaosTiers, ",") {
-			tier = strings.TrimSpace(tier)
-			switch tier {
-			case fleet.TierOrigin, fleet.TierRelay:
-				cfg.fleet.ChaosTiers = append(cfg.fleet.ChaosTiers, tier)
-			default:
-				return config{}, fmt.Errorf("unknown -chaos-tiers entry %q (want origin or relay)", tier)
+	if cfg.fleet.Failpoints != "" {
+		terms, err := failpoint.Parse(cfg.fleet.Failpoints)
+		if err != nil {
+			return config{}, fmt.Errorf("-failpoints: %v", err)
+		}
+		for name := range terms {
+			if strings.HasPrefix(name, "net.") && name != "net.origin" && name != "net.relay" {
+				return config{}, fmt.Errorf("-failpoints: unknown wire site %q (want net.origin or net.relay)", name)
 			}
 		}
-	}
-	if cfg.fleet.ChaosRate > 0 && len(cfg.fleet.ChaosTiers) == 0 {
-		return config{}, fmt.Errorf("-chaos-rate %v without -chaos-tiers faults nothing", cfg.fleet.ChaosRate)
-	}
-	if cfg.fleet.Failpoints != "" {
 		crash, err := failpoint.SpecHasCrash(cfg.fleet.Failpoints)
 		if err != nil {
 			return config{}, fmt.Errorf("-failpoints: %v", err)
 		}
 		if crash {
-			return config{}, fmt.Errorf("-failpoints %q uses crash mode, which would kill the simulator; use err mode", cfg.fleet.Failpoints)
+			return config{}, fmt.Errorf("-failpoints %q uses crash mode, which would kill the simulator; use err or a wire kind", cfg.fleet.Failpoints)
 		}
 	}
 	return cfg, nil

@@ -21,13 +21,13 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-versions", "1"},
 		{"-churn", "1.5"},
 		{"-churn", "-0.1"},
-		{"-chaos-rate", "2"},
+		{"-failpoints", "net.origin=reset(2)"}, // fault rate out of range
 		{"-poll-skew", "-1"},
 		{"-duration", "-1s"},
 		{"-base-poll", "-5ms"},
-		{"-chaos-tiers", "cloud"},                     // unknown tier
-		{"-chaos-rate", "0.5"},                        // rate without tiers
-		{"-chaos-rate", "0.5", "-chaos-tiers", ""},    // still no tiers
+		{"-failpoints", "net.cloud=reset(0.5)"},       // unknown tier
+		{"-failpoints", "=reset(0.5)"},                // rate without a site
+		{"-failpoints", "net.relay=reset(0.5,d=1s)"},  // d only on latency and stall
 		{"-failpoints", "dist.state.sync=explode(1)"}, // bad action kind
 		{"-failpoints", "dist.state.sync=crash(0.5)"}, // crash would kill the process
 		{"-failpoints", "dist.state.sync=err(1.5)"},   // probability out of range
@@ -38,10 +38,10 @@ func TestParseFlagsErrors(t *testing.T) {
 		}
 	}
 
+	const spec = "net.origin=reset(0.2)|stall(0.1,d=5ms);net.relay=5xx(0.2,burst=3);dist.state.sync=err(0.3,errno=EIO)"
 	cfg, err := parseFlags([]string{
 		"-seed", "9", "-edges", "40", "-relays", "2",
-		"-chaos-rate", "0.2", "-chaos-tiers", "origin, relay",
-		"-failpoints", "dist.state.sync=err(0.3,errno=EIO)", "-edge-state",
+		"-failpoints", spec, "-edge-state",
 		"-compare", "-check",
 	})
 	if err != nil {
@@ -51,11 +51,8 @@ func TestParseFlagsErrors(t *testing.T) {
 		!cfg.compare || !cfg.check {
 		t.Errorf("parsed config %+v", cfg)
 	}
-	if cfg.fleet.Failpoints != "dist.state.sync=err(0.3,errno=EIO)" || !cfg.fleet.EdgeState {
+	if cfg.fleet.Failpoints != spec || !cfg.fleet.EdgeState {
 		t.Errorf("failpoint flags not parsed: %+v", cfg.fleet)
-	}
-	if len(cfg.fleet.ChaosTiers) != 2 || cfg.fleet.ChaosTiers[0] != fleet.TierOrigin || cfg.fleet.ChaosTiers[1] != fleet.TierRelay {
-		t.Errorf("chaos tiers %v", cfg.fleet.ChaosTiers)
 	}
 }
 

@@ -39,8 +39,6 @@
 //	-addr HOST:PORT   listen address (default 127.0.0.1:8353)
 //	-age DAYS         publish the version in effect DAYS before
 //	                  2022-12-08 (default 0 = newest)
-//	-failrate F       fail this fraction of raw-list requests with 503,
-//	                  to exercise client fallback paths
 //	-seed N           history generator seed
 //	-versions N       number of history versions to generate (default
 //	                  1142, the full simulated history)
@@ -90,7 +88,11 @@
 //	                  'dist.state.rename=err(1);submit.persist.sync=crash(0.2,seed=7)');
 //	                  err terms surface as the named syscall failing,
 //	                  crash terms abort the process at the site — the
-//	                  supervisor-restart experiment. Armed or not, every
+//	                  supervisor-restart experiment. Wire kinds on
+//	                  fetch.server.resp fail raw-list downloads to
+//	                  exercise client fallback paths:
+//	                  'fetch.server.resp=5xx(0.5)' answers half of them
+//	                  503, while /v1 keeps serving. Armed or not, every
 //	                  site exports psl_failpoint_triggers_total{name}
 //	-quiet            suppress JSON access logs on stderr
 //
@@ -160,7 +162,6 @@ type config struct {
 	addr        string
 	debugAddr   string
 	age         int
-	failRate    float64
 	seed        int64
 	versions    int
 	maxInFlight int
@@ -197,7 +198,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8353", "listen address")
 	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "serve pprof and /metrics on this extra address (off when empty)")
 	fs.IntVar(&cfg.age, "age", 0, "publish the version this many days before 2022-12-08")
-	fs.Float64Var(&cfg.failRate, "failrate", 0, "fraction of raw-list requests to fail with 503")
 	fs.Int64Var(&cfg.seed, "seed", history.DefaultSeed, "history generator seed")
 	fs.IntVar(&cfg.versions, "versions", 0, "history versions to generate (0 = full default history)")
 	fs.IntVar(&cfg.maxInFlight, "max-in-flight", serve.DefaultMaxInFlight, "admission bound for /v1/lookup")
@@ -216,7 +216,7 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.submitStateDir, "submit-state-dir", "", "persist submission records here (requires -submit)")
 	fs.Float64Var(&cfg.submitScale, "submit-scale", 0, "web-population scale for submission risk scoring (0 = probes only; requires -submit)")
 	fs.Float64Var(&cfg.submitMaxFlip, "submit-max-flip", 0, "reject submissions flipping more than this fraction of the population (0 = default 0.05; requires -submit)")
-	fs.StringVar(&cfg.failpoints, "failpoints", "", "deterministic fault-injection spec (name=err(p,...);name=crash(p,...)), seeded from -seed")
+	fs.StringVar(&cfg.failpoints, "failpoints", "", "deterministic fault-injection spec (e.g. fetch.server.resp=5xx(0.5);dist.state.rename=err(1)), seeded from -seed")
 	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress JSON access logs")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
@@ -229,9 +229,6 @@ func parseFlags(args []string) (config, error) {
 		return config{}, fmt.Errorf("unknown -matcher %q (want packed, map, trie, sorted or linear)", cfg.matcher)
 	}
 	cfg.newMatcher = nm
-	if cfg.failRate < 0 || cfg.failRate > 1 {
-		return config{}, fmt.Errorf("-failrate %v out of range [0, 1]", cfg.failRate)
-	}
 	if cfg.age < 0 {
 		return config{}, fmt.Errorf("-age %d is negative", cfg.age)
 	}
@@ -368,7 +365,6 @@ func resilient(mux http.Handler, cfg config, reg *obs.Registry) http.Handler {
 func newHandler(h *history.History, seq int, cfg config, plane *obsPlane) (http.Handler, *serve.Service, *fetch.Server, *dist.Origin, *obs.Registry) {
 	fs := fetch.NewServer(h)
 	fs.SetCurrent(seq)
-	fs.SetFailureRate(cfg.failRate)
 
 	svc := serve.NewFromHistory(h, seq, serve.Options{
 		MaxInFlight: cfg.maxInFlight,
@@ -648,8 +644,8 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 		handler, _, _, _, reg = newHandler(h, seq, cfg, plane)
 
 		meta := h.Meta(seq)
-		fmt.Fprintf(stdout, "pslserver: serving v%04d (%s, %d rules) on http://%s%s (failrate %.2f), query API at %s, metrics at %s\n",
-			meta.Seq, meta.Date.Format("2006-01-02"), meta.Rules, ln.Addr(), fetch.ListPath, cfg.failRate, serve.LookupPath, serve.MetricsPath)
+		fmt.Fprintf(stdout, "pslserver: serving v%04d (%s, %d rules) on http://%s%s, query API at %s, metrics at %s\n",
+			meta.Seq, meta.Date.Format("2006-01-02"), meta.Rules, ln.Addr(), fetch.ListPath, serve.LookupPath, serve.MetricsPath)
 	}
 
 	var logger *slog.Logger

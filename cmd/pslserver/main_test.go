@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -29,15 +28,20 @@ import (
 // the test suite stays fast.
 var testHistory = history.Generate(history.Config{Seed: history.DefaultSeed, Versions: 50})
 
-// bootServer starts the combined handler on an ephemeral port and
-// returns its base URL plus the handles the smoke tests poke.
-func bootServer(t *testing.T, failRate float64) (string, *serve.Service, *fetch.Server) {
+// bootServer starts the combined handler on an ephemeral port, with
+// the -failpoints spec (if any) armed until the test ends, and returns
+// its base URL plus the handles the smoke tests poke.
+func bootServer(t *testing.T, failpoints string) (string, *serve.Service, *fetch.Server) {
 	t.Helper()
 	seq := testHistory.Len() - 1
-	cfg, err := parseFlags([]string{"-failrate", fmt.Sprint(failRate)})
+	cfg, err := parseFlags([]string{"-failpoints", failpoints})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := failpoint.Arm(cfg.failpoints, cfg.seed); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(failpoint.DisarmAll)
 	handler, svc, fs, _, _ := newHandler(testHistory, seq, cfg, newObsPlane("origin"))
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -65,7 +69,7 @@ func bootServer(t *testing.T, failRate float64) (string, *serve.Service, *fetch.
 
 // TestSmokeEndToEnd boots the server and walks every mounted route.
 func TestSmokeEndToEnd(t *testing.T) {
-	base, _, _ := bootServer(t, 0)
+	base, _, _ := bootServer(t, "")
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	// Raw current list: parseable and the version the server announces.
@@ -151,10 +155,12 @@ func TestSmokeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFailrate503Path checks -failrate affects the raw-list endpoints
-// (clients must fall back) while the query API stays up.
+// TestFailrate503Path checks a 5xx spec on fetch.server.resp affects
+// the raw-list endpoints (clients must fall back) while the query API
+// stays up.
 func TestFailrate503Path(t *testing.T) {
-	base, _, fs := bootServer(t, 1.0)
+	injectedBefore := failpoint.Triggers("fetch.server.resp")
+	base, _, fs := bootServer(t, "fetch.server.resp=5xx(1)")
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	resp, err := client.Get(base + fetch.ListPath)
@@ -163,7 +169,7 @@ func TestFailrate503Path(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("failrate 1.0: raw list status %s, want 503", resp.Status)
+		t.Fatalf("5xx(1): raw list status %s, want 503", resp.Status)
 	}
 
 	// The lookup API is mounted before the raw server, so it keeps
@@ -174,20 +180,20 @@ func TestFailrate503Path(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("lookup during failrate 1.0: %s", resp.Status)
+		t.Errorf("lookup during 5xx(1): %s", resp.Status)
 	}
 
-	// Healing the failure rate restores the raw path.
-	fs.SetFailureRate(0)
+	// Disarming the site restores the raw path.
+	failpoint.Disarm("fetch.server.resp")
 	resp, err = client.Get(base + fetch.ListPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("after SetFailureRate(0): %s", resp.Status)
+		t.Errorf("after disarming: %s", resp.Status)
 	}
-	if reqs, fails := fs.Stats(); reqs < 2 || fails < 1 {
+	if reqs, fails := fs.Requests(), failpoint.Triggers("fetch.server.resp")-injectedBefore; reqs < 2 || fails < 1 {
 		t.Errorf("stats = %d requests %d failures", reqs, fails)
 	}
 }
@@ -196,7 +202,7 @@ func TestFailrate503Path(t *testing.T) {
 // server: a versioned /v1/lookup answer must equal the answer computed
 // from the raw /v/<seq> download.
 func TestVersionedLookupAgainstRawList(t *testing.T) {
-	base, _, _ := bootServer(t, 0)
+	base, _, _ := bootServer(t, "")
 	client := &http.Client{Timeout: 10 * time.Second}
 	const seq = 7
 	const host = "www.example.co.uk"
@@ -235,8 +241,8 @@ func TestVersionedLookupAgainstRawList(t *testing.T) {
 func TestParseFlagsErrors(t *testing.T) {
 	bad := [][]string{
 		{"-matcher", "quantum"},
-		{"-failrate", "1.5"},
-		{"-failrate", "-0.1"},
+		{"-failpoints", "fetch.server.resp=5xx(1.5)"},
+		{"-failpoints", "fetch.server.resp=5xx(-0.1)"},
 		{"-age", "-3"},
 		{"-max-in-flight", "0"},
 		{"-addr", ""},
@@ -268,15 +274,16 @@ func TestParseFlagsErrors(t *testing.T) {
 		}
 	}
 
-	cfg, err := parseFlags([]string{"-matcher", "trie", "-failrate", "0.25", "-age", "30", "-debug-addr", "127.0.0.1:0",
-		"-failpoints", "dist.state.rename=err(1);submit.persist.sync=crash(0.2,seed=7)"})
+	const spec = "dist.state.rename=err(1);submit.persist.sync=crash(0.2,seed=7);fetch.server.resp=5xx(0.25)"
+	cfg, err := parseFlags([]string{"-matcher", "trie", "-age", "30", "-debug-addr", "127.0.0.1:0",
+		"-failpoints", spec})
 	if err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
-	if cfg.matcher != "trie" || cfg.newMatcher == nil || cfg.failRate != 0.25 || cfg.age != 30 || cfg.debugAddr == "" {
+	if cfg.matcher != "trie" || cfg.newMatcher == nil || cfg.age != 30 || cfg.debugAddr == "" {
 		t.Errorf("parsed config %+v", cfg)
 	}
-	if cfg.failpoints != "dist.state.rename=err(1);submit.persist.sync=crash(0.2,seed=7)" {
+	if cfg.failpoints != spec {
 		t.Errorf("failpoints spec not kept: %q", cfg.failpoints)
 	}
 }
@@ -299,7 +306,6 @@ var requiredFamilies = []string{
 	"psl_compile_duration_seconds",
 	"psl_compile_cache_entries",
 	"psl_fetch_requests_total",
-	"psl_fetch_failures_injected_total",
 	"psl_fetch_renders_total",
 	"psl_fetch_render_cache_hits_total",
 	"psl_fetch_not_modified_total",
@@ -320,7 +326,7 @@ var requiredFamilies = []string{
 // little traffic and checks it is a valid Prometheus text document
 // exposing every required family.
 func TestMetricsExposition(t *testing.T) {
-	base, _, _ := bootServer(t, 0)
+	base, _, _ := bootServer(t, "")
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	for _, path := range []string{
@@ -364,6 +370,10 @@ func TestMetricsExposition(t *testing.T) {
 		if !have[want] {
 			t.Errorf("/metrics missing family %s", want)
 		}
+	}
+	// Injected raw-list failures are counted at their failpoint site.
+	if !bytes.Contains(body, []byte(`psl_failpoint_triggers_total{name="fetch.server.resp"}`)) {
+		t.Error(`/metrics missing psl_failpoint_triggers_total{name="fetch.server.resp"}`)
 	}
 	if len(families) < 12 {
 		t.Errorf("/metrics exposes %d families, acceptance floor is 12", len(families))

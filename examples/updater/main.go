@@ -2,8 +2,9 @@
 // projects that never update their list, update at build time, or
 // update at startup — all falling back to an embedded copy when the
 // fetch fails. This example runs each strategy against a local server
-// (a stand-in for publicsuffix.org) with injected failures and shows
-// the resulting list ages and privacy decisions.
+// (a stand-in for publicsuffix.org) with injected failures — a
+// failpoint spec on the server's fetch.server.resp site — and shows the
+// resulting list ages and privacy decisions.
 //
 // Run with:
 //
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 
+	"repro/internal/failpoint"
 	"repro/internal/fetch"
 	"repro/internal/history"
 	"repro/internal/psl"
@@ -30,8 +32,11 @@ func main() {
 	embedded := h.ListAt(h.IndexForAge(730))
 	now := history.MeasurementDate
 
-	run := func(label string, strategy fetch.Strategy, failRate float64) {
-		server.SetFailureRate(failRate)
+	run := func(label string, strategy fetch.Strategy, faults string) {
+		failpoint.DisarmAll()
+		if err := failpoint.Arm(faults, 1); err != nil {
+			panic(err)
+		}
 		client := fetch.NewClient(ts.URL + fetch.ListPath)
 		u := fetch.NewUpdater(embedded, client, strategy, 0)
 		u.Start(context.Background())
@@ -45,10 +50,11 @@ func main() {
 
 	fmt.Println("strategy (network condition)        update stats        effective list      bad-store decision")
 	fmt.Println("---------------------------------------------------------------------------------------------")
-	run("fixed (network fine)", fetch.StrategyFixed, 0)
-	run("startup update (network fine)", fetch.StrategyOnStartup, 0)
-	run("startup update (network DOWN)", fetch.StrategyOnStartup, 1.0)
-	run("build-time update (network fine)", fetch.StrategyAtBuild, 0)
+	const down = "fetch.server.resp=5xx(1)"
+	run("fixed (network fine)", fetch.StrategyFixed, "")
+	run("startup update (network fine)", fetch.StrategyOnStartup, "")
+	run("startup update (network DOWN)", fetch.StrategyOnStartup, down)
+	run("build-time update (network fine)", fetch.StrategyAtBuild, "")
 
 	fmt.Println()
 	fmt.Println("The failing updater silently keeps its 730-day-old copy — the")

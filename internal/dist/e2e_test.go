@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fetch"
 	"repro/internal/history"
 	"repro/internal/psl"
 	"repro/internal/serve"
@@ -168,7 +167,7 @@ func TestE2EReplicationFullHistory(t *testing.T) {
 }
 
 // TestE2EReplicationWithFailureInjection repeats the sweep with 35% of
-// all dist responses failing (5xx, truncated bodies, corrupted bytes).
+// all dist responses failing (5xx, truncated bodies, flipped bytes).
 // The replica must still converge — via retries and full-sync fallback
 // — and every list it swaps in must carry the exact fingerprint the
 // origin's chain records for that seq: corruption is loud, never wrong.
@@ -179,8 +178,7 @@ func TestE2EReplicationWithFailureInjection(t *testing.T) {
 	h := testHist(t, 1142)
 	origin := NewOrigin(h)
 	origin.SetHead(0)
-	inj := fetch.NewInjector(17, fetch.Fail5xx, fetch.FailTruncate, fetch.FailCorrupt)
-	ts := httptest.NewServer(inj.Wrap(origin))
+	ts := httptest.NewServer(wire.Wrap(origin))
 	defer ts.Close()
 
 	opts := fastOpts()
@@ -214,7 +212,10 @@ func TestE2EReplicationWithFailureInjection(t *testing.T) {
 	runDone := make(chan struct{})
 	go func() { defer close(runDone); rep.Run(ctx) }()
 
-	inj.SetFailureRate(0.35)
+	// Three alternatives at 0.134 each fail 1-(1-0.134)^3 ≈ 35% of
+	// responses.
+	injectedBefore := wire.Triggers()
+	armWire(t, "5xx(0.134)|truncate(0.134)|bitflip(0.134)")
 	orc := newOracle(h)
 	head := h.Len() - 1
 	const swaps = 12
@@ -244,14 +245,15 @@ func TestE2EReplicationWithFailureInjection(t *testing.T) {
 	if rep.CurrentSeq() != int64(head) || rep.Lag() != 0 {
 		t.Fatalf("replica at %d lag %d, want %d/0", rep.CurrentSeq(), rep.Lag(), head)
 	}
-	if inj.Injected() == 0 {
+	injected := wire.Triggers() - injectedBefore
+	if injected == 0 {
 		t.Fatalf("injector never fired; the test proved nothing")
 	}
 	if rep.VerifyFailures() == 0 && rep.Retries() == 0 && rep.pollErrors.Load() == 0 {
-		t.Errorf("no verify failures, retries or poll errors despite %d injected faults", inj.Injected())
+		t.Errorf("no verify failures, retries or poll errors despite %d injected faults", injected)
 	}
 	cancel()
 	<-runDone
 	t.Logf("injection e2e: %d faults injected, %d verify failures, %d retries, %d fallbacks, %d hops",
-		inj.Injected(), rep.VerifyFailures(), rep.Retries(), rep.Fallbacks(), rep.Applied())
+		injected, rep.VerifyFailures(), rep.Retries(), rep.Fallbacks(), rep.Applied())
 }

@@ -10,11 +10,27 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fetch"
+	"repro/internal/failpoint"
 	"repro/internal/obs"
 	"repro/internal/psl"
 	"repro/internal/resilience"
 )
+
+// wire fronts the origin in the fault tests: each test wraps the
+// origin handler in it and arms the wire fault it needs.
+var wire = failpoint.New("net.origin")
+
+// armWire arms wire with one action (e.g. "5xx(1,limit=2)") until
+// healWire or the end of the test.
+func armWire(t *testing.T, action string) {
+	t.Helper()
+	if err := failpoint.Arm(wire.Name()+"="+action, 1); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(healWire)
+}
+
+func healWire() { failpoint.Disarm(wire.Name()) }
 
 // fastOpts keeps test replicas snappy: millisecond backoffs, small
 // hops, and a breaker that re-probes quickly after opening.
@@ -87,8 +103,7 @@ func TestReplicaRetriesTransientFailures(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(5)
-	inj := fetch.NewInjector(3, fetch.Fail5xx)
-	ts := httptest.NewServer(inj.Wrap(o))
+	ts := httptest.NewServer(wire.Wrap(o))
 	defer ts.Close()
 
 	rep := NewReplica(ts.URL, fastOpts())
@@ -98,7 +113,7 @@ func TestReplicaRetriesTransientFailures(t *testing.T) {
 	}
 
 	o.SetHead(20)
-	inj.FailNext(2) // manifest fetch fails, retried by the next poll
+	armWire(t, "5xx(1,limit=2)") // manifest fetch fails, retried by the next poll
 	var lastErr error
 	deadline := time.Now().Add(10 * time.Second)
 	for rep.CurrentSeq() != 20 && time.Now().Before(deadline) {
@@ -116,9 +131,7 @@ func TestReplicaStallHitsClientTimeout(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(3)
-	inj := fetch.NewInjector(5, fetch.FailStall)
-	inj.SetStall(2 * time.Second)
-	ts := httptest.NewServer(inj.Wrap(o))
+	ts := httptest.NewServer(wire.Wrap(o))
 	defer ts.Close()
 
 	opts := fastOpts()
@@ -129,7 +142,7 @@ func TestReplicaStallHitsClientTimeout(t *testing.T) {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	o.SetHead(10)
-	inj.FailNext(1)
+	armWire(t, "stall(1,d=2s,limit=1)")
 	start := time.Now()
 	deadline := start.Add(15 * time.Second)
 	for rep.CurrentSeq() != 10 && time.Now().Before(deadline) {
@@ -178,8 +191,7 @@ func TestReplicaNeverSwapsCorruptBlobs(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(5)
-	inj := fetch.NewInjector(11, fetch.FailCorrupt)
-	ts := httptest.NewServer(inj.Wrap(o))
+	ts := httptest.NewServer(wire.Wrap(o))
 	defer ts.Close()
 
 	rep := NewReplica(ts.URL, fastOpts())
@@ -197,7 +209,7 @@ func TestReplicaNeverSwapsCorruptBlobs(t *testing.T) {
 
 	// With every response corrupted, nothing may be swapped in.
 	o.SetHead(20)
-	inj.SetFailureRate(1.0)
+	armWire(t, "bitflip(1)")
 	for i := 0; i < 3; i++ {
 		if err := rep.Poll(ctx); err == nil {
 			t.Fatalf("poll succeeded while all blobs corrupt")
@@ -211,7 +223,7 @@ func TestReplicaNeverSwapsCorruptBlobs(t *testing.T) {
 	}
 
 	// Heal the wire: convergence resumes.
-	inj.SetFailureRate(0)
+	healWire()
 	if err := rep.Poll(ctx); err != nil {
 		t.Fatalf("Poll after healing: %v", err)
 	}
@@ -264,13 +276,12 @@ func TestReplicaBackoffResetsAfterSuccessfulPoll(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(3)
-	inj := fetch.NewInjector(9, fetch.FailCorrupt)
 	// Corrupt only the blob endpoints: a corrupt manifest fails the
 	// cycle outright (DecodeManifest rejects it), while this test is
 	// about the retry ladder under failing transfers.
 	mux := http.NewServeMux()
 	mux.Handle(ManifestPath, o)
-	mux.Handle(Prefix, inj.Wrap(o))
+	mux.Handle(Prefix, wire.Wrap(o))
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -280,14 +291,14 @@ func TestReplicaBackoffResetsAfterSuccessfulPoll(t *testing.T) {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	o.SetHead(10)
-	inj.SetFailureRate(1.0)
+	armWire(t, "bitflip(1)")
 	if err := rep.Poll(ctx); err == nil {
 		t.Fatal("poll succeeded on an all-corrupt wire")
 	}
 	if rep.backoff.Attempt() == 0 {
 		t.Fatal("failed poll left the backoff at attempt 0; retries took no delay")
 	}
-	inj.SetFailureRate(0)
+	healWire()
 	if err := rep.Poll(ctx); err != nil {
 		t.Fatalf("Poll after healing: %v", err)
 	}
@@ -304,8 +315,7 @@ func TestReplicaBreakerOpensOnTransportFailures(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(3)
-	inj := fetch.NewInjector(5, fetch.Fail5xx)
-	ts := httptest.NewServer(inj.Wrap(o))
+	ts := httptest.NewServer(wire.Wrap(o))
 	defer ts.Close()
 
 	opts := fastOpts()
@@ -317,7 +327,7 @@ func TestReplicaBreakerOpensOnTransportFailures(t *testing.T) {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 
-	inj.SetFailureRate(1.0)
+	armWire(t, "5xx(1)")
 	for i := 0; i < 3; i++ {
 		if err := rep.Poll(ctx); err == nil {
 			t.Fatalf("poll %d succeeded through a 100%% 5xx wire", i)
@@ -335,7 +345,7 @@ func TestReplicaBreakerOpensOnTransportFailures(t *testing.T) {
 	}
 
 	// Heal the wire and outwait the open window: the probe closes it.
-	inj.SetFailureRate(0)
+	healWire()
 	o.SetHead(8)
 	time.Sleep(30 * time.Millisecond)
 	deadline := time.Now().Add(10 * time.Second)
@@ -357,8 +367,7 @@ func TestReplicaBudgetExhaustionEndsCycle(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(3)
-	inj := fetch.NewInjector(13, fetch.FailCorrupt)
-	ts := httptest.NewServer(inj.Wrap(o))
+	ts := httptest.NewServer(wire.Wrap(o))
 	defer ts.Close()
 
 	opts := fastOpts()
@@ -370,7 +379,7 @@ func TestReplicaBudgetExhaustionEndsCycle(t *testing.T) {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	o.SetHead(20)
-	inj.SetFailureRate(1.0)
+	armWire(t, "bitflip(1)")
 	var err error
 	for i := 0; i < 5 && rep.RetryBudget().Denied() == 0; i++ {
 		err = rep.Poll(ctx)

@@ -26,7 +26,7 @@
 // StopTrace) and compared byte-for-byte, which is how the torture
 // harness proves determinism rather than asserting it.
 //
-// Two action kinds cover the storage-fault space:
+// Eight action kinds share one decision path. Two strike storage:
 //
 //	err(p[,seed=N][,after=K][,limit=M][,errno=NAME])
 //	    return an injected error with probability p. after skips the
@@ -38,6 +38,24 @@
 //	    harness recovers it and reconstructs post-crash disk state; a
 //	    production process armed with a crash failpoint genuinely dies,
 //	    which is the point of crash testing.
+//
+// Six strike the wire, rendered by Wrap around an http.Handler (the
+// same seed, after and limit arguments apply):
+//
+//	latency(p[,d=DUR])  delay d (default 50ms), then serve intact
+//	reset(p)            abort the connection before any byte
+//	truncate(p)         promise the full Content-Length, send half, abort
+//	bitflip(p)          serve a 200 of the right length with bytes flipped
+//	5xx(p[,burst=N])    answer 503 to this and the next N-1 requests
+//	stall(p[,d=DUR])    write nothing for d (default 250ms), then abort
+//
+// A term may chain alternatives, a|b|...: each is tried in order with
+// its own draw from the site's RNG and the first to fire wins, e.g.
+//
+//	net.origin=reset(0.01)|bitflip(0.01)|stall(0.01,d=40ms)
+//
+// A storage site (Inject) whose term fires a wire kind returns the
+// injected error.
 package failpoint
 
 import (
@@ -45,12 +63,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -80,18 +100,58 @@ var errnos = map[string]error{
 	"EINTR":  syscall.EINTR,
 }
 
-// term is one armed action. Guarded by the owning Failpoint's mu.
-type term struct {
-	crash bool
-	prob  float64
-	errno error // non-nil: wrap this sentinel under ErrInjected
-	after int   // skip the first `after` hits
-	limit int   // stop triggering after `limit` fires (0 = unlimited)
-	seed  int64 // 0 = derive from the arm-time base seed and the name
+// kind is one action kind of the spec grammar.
+type kind uint8
 
-	hits  int // Inject calls seen while this term was armed
+const (
+	kindPass kind = iota // no fault this hit
+	kindErr
+	kindCrash
+	kindLatency
+	kindReset
+	kindTruncate
+	kindBitflip
+	kind5xx
+	kindStall
+)
+
+// kindNames spells each kind as the grammar and the trace do.
+var kindNames = [...]string{"pass", "err", "crash", "latency", "reset", "truncate", "bitflip", "5xx", "stall"}
+
+func (k kind) String() string { return kindNames[k] }
+
+// alt is one alternative of an armed term: a kind, its probability and
+// its arguments. Guarded by the owning Failpoint's mu.
+type alt struct {
+	kind  kind
+	prob  float64
+	errno error         // err: wrap this sentinel under ErrInjected
+	d     time.Duration // latency, stall: how long
+	burst int           // 5xx: responses one firing poisons
+	after int           // skip the first `after` hits of the site
+	limit int           // stop firing after `limit` fires (0 = unlimited)
+
 	fired int
-	rng   *rand.Rand
+}
+
+// term is one armed site's action: alternatives tried in order, one RNG.
+// Guarded by the owning Failpoint's mu.
+type term struct {
+	alts []alt
+	seed int64 // 0 = derive from the arm-time base seed and the name
+
+	hits      int // Inject or Wrap calls seen while this term was armed
+	burstLeft int // 503s still owed by the last 5xx firing
+	rng       *rand.Rand
+}
+
+// action is one hit's decision, handed from the locked draw to the
+// renderer.
+type action struct {
+	kind  kind
+	d     time.Duration
+	errno error
+	flip  uint64 // bitflip: seed of the flipped positions
 }
 
 // Failpoint is one named injection site. The zero value is not usable;
@@ -110,8 +170,8 @@ type Failpoint struct {
 // Name reports the site's registered name.
 func (f *Failpoint) Name() string { return f.name }
 
-// Triggers reports how many times this site has fired (err or crash)
-// since process start.
+// Triggers reports how many times this site has fired (any kind, each
+// 503 of a 5xx burst included) since process start.
 func (f *Failpoint) Triggers() uint64 { return f.triggers.Load() }
 
 // Hits reports Inject calls counted while the site was armed or the
@@ -223,7 +283,7 @@ func RegisterMetrics(reg *obs.Registry) {
 // Inject consults the site. Disarmed (the production state) it returns
 // nil after two atomic loads and zero allocations. Armed it counts the
 // hit, draws the seeded decision, and either returns nil, returns an
-// injected error, or panics with Crash.
+// injected error (err, or any wire kind), or panics with Crash.
 func (f *Failpoint) Inject() error {
 	if !f.armed.Load() {
 		if observing.Load() {
@@ -234,42 +294,70 @@ func (f *Failpoint) Inject() error {
 	return f.inject()
 }
 
-// inject is the armed slow path.
+// inject is the armed slow path of Inject.
 func (f *Failpoint) inject() error {
+	a := f.draw()
+	switch a.kind {
+	case kindPass:
+		return nil
+	case kindCrash:
+		panic(Crash{Name: f.name})
+	}
+	return f.injected(a)
+}
+
+// injected builds the error an err-firing (or wire-firing) hit returns.
+func (f *Failpoint) injected(a action) error {
+	if a.errno != nil {
+		return fmt.Errorf("%w: %s: %w", ErrInjected, f.name, a.errno)
+	}
+	return fmt.Errorf("%w: %s", ErrInjected, f.name)
+}
+
+// draw is the armed slow path shared by Inject and Wrap: count the hit,
+// finish a 5xx burst in progress or try each alternative in order, and
+// log the decision to the trace.
+func (f *Failpoint) draw() action {
 	f.mu.Lock()
 	t := f.term
 	if t == nil {
 		// Disarm raced with the fast path; nothing to do.
 		f.mu.Unlock()
 		f.hits.Add(1)
-		return nil
+		return action{}
 	}
 	hit := t.hits
 	t.hits++
-	fire := hit >= t.after &&
-		(t.limit == 0 || t.fired < t.limit) &&
-		(t.prob >= 1 || t.rng.Float64() < t.prob)
-	if fire {
-		t.fired++
+	var a action
+	if t.burstLeft > 0 {
+		t.burstLeft--
+		a.kind = kind5xx
+	} else {
+		for i := range t.alts {
+			c := &t.alts[i]
+			if hit < c.after || (c.limit > 0 && c.fired >= c.limit) {
+				continue
+			}
+			if c.prob >= 1 || t.rng.Float64() < c.prob {
+				c.fired++
+				a = action{kind: c.kind, d: c.d, errno: c.errno}
+				switch c.kind {
+				case kind5xx:
+					t.burstLeft = c.burst - 1
+				case kindBitflip:
+					a.flip = t.rng.Uint64()
+				}
+				break
+			}
+		}
 	}
-	crash, errno := t.crash, t.errno
 	f.mu.Unlock()
 	f.hits.Add(1)
-
-	if !fire {
-		traceEvent(f.name, hit, "pass")
-		return nil
+	if a.kind != kindPass {
+		f.triggers.Add(1)
 	}
-	f.triggers.Add(1)
-	if crash {
-		traceEvent(f.name, hit, "crash")
-		panic(Crash{Name: f.name})
-	}
-	traceEvent(f.name, hit, "err")
-	if errno != nil {
-		return fmt.Errorf("%w: %s: %w", ErrInjected, f.name, errno)
-	}
-	return fmt.Errorf("%w: %s", ErrInjected, f.name)
+	traceEvent(f.name, hit, a.kind.String())
+	return a
 }
 
 // arm installs a term on the site.
@@ -373,64 +461,98 @@ func SpecHasCrash(spec string) (bool, error) {
 		return false, err
 	}
 	for _, t := range terms {
-		if t != nil && t.crash {
-			return true, nil
+		if t == nil {
+			continue
+		}
+		for _, a := range t.alts {
+			if a.kind == kindCrash {
+				return true, nil
+			}
 		}
 	}
 	return false, nil
 }
 
-// parseAction parses `err(...)`, `crash(...)`, or `off`.
+// parseAction parses `off` or one or more `kind(args)` alternatives
+// joined by `|`. A seed= on any alternative seeds the whole site.
 func parseAction(s string) (*term, error) {
 	if s == "off" {
 		return nil, nil
 	}
-	kind, rest, ok := strings.Cut(s, "(")
-	if !ok || !strings.HasSuffix(rest, ")") {
-		return nil, fmt.Errorf("action %q is not kind(args) or off", s)
-	}
 	t := &term{}
-	switch kind {
-	case "err":
-	case "crash":
-		t.crash = true
-	default:
-		return nil, fmt.Errorf("unknown action kind %q (want err or crash)", kind)
+	for _, part := range strings.Split(s, "|") {
+		a, seed, err := parseAlt(strings.TrimSpace(part))
+		if err != nil {
+			return nil, err
+		}
+		if seed != 0 {
+			if t.seed != 0 && t.seed != seed {
+				return nil, fmt.Errorf("alternatives disagree on the seed (%d vs %d)", t.seed, seed)
+			}
+			t.seed = seed
+		}
+		t.alts = append(t.alts, a)
+	}
+	return t, nil
+}
+
+// parseAlt parses one `kind(p[,key=value...])` alternative, returning
+// any seed= separately (it belongs to the site, not the alternative).
+func parseAlt(s string) (alt, int64, error) {
+	name, rest, ok := strings.Cut(s, "(")
+	if !ok || !strings.HasSuffix(rest, ")") {
+		return alt{}, 0, fmt.Errorf("action %q is not kind(args) or off", s)
+	}
+	i := slices.Index(kindNames[kindErr:], name)
+	if i < 0 {
+		return alt{}, 0, fmt.Errorf("unknown action kind %q (want one of %s)", name, strings.Join(kindNames[kindErr:], ", "))
+	}
+	k := kindErr + kind(i)
+	a := alt{kind: k, burst: 1}
+	switch k {
+	case kindLatency:
+		a.d = 50 * time.Millisecond
+	case kindStall:
+		a.d = 250 * time.Millisecond
 	}
 	args := strings.Split(strings.TrimSuffix(rest, ")"), ",")
-	if len(args) == 0 || strings.TrimSpace(args[0]) == "" {
-		return nil, fmt.Errorf("action %q is missing its probability", s)
+	if strings.TrimSpace(args[0]) == "" {
+		return alt{}, 0, fmt.Errorf("action %q is missing its probability", s)
 	}
 	prob, err := strconv.ParseFloat(strings.TrimSpace(args[0]), 64)
-	if err != nil || prob < 0 || prob > 1 {
-		return nil, fmt.Errorf("probability %q out of [0, 1]", args[0])
+	if err != nil || !(prob >= 0 && prob <= 1) {
+		return alt{}, 0, fmt.Errorf("probability %q out of [0, 1]", args[0])
 	}
-	t.prob = prob
+	a.prob = prob
+	var seed int64
 	for _, kv := range args[1:] {
 		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
-			return nil, fmt.Errorf("argument %q is not key=value", kv)
+			return alt{}, 0, fmt.Errorf("argument %q is not key=value", kv)
 		}
 		switch key {
 		case "seed":
 			n, err := strconv.ParseInt(val, 10, 64)
 			if err != nil || n == 0 {
-				return nil, fmt.Errorf("seed %q is not a non-zero integer", val)
+				return alt{}, 0, fmt.Errorf("seed %q is not a non-zero integer", val)
 			}
-			t.seed = n
+			seed = n
 		case "after":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
-				return nil, fmt.Errorf("after %q is not a non-negative integer", val)
+				return alt{}, 0, fmt.Errorf("after %q is not a non-negative integer", val)
 			}
-			t.after = n
+			a.after = n
 		case "limit":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
-				return nil, fmt.Errorf("limit %q is not a non-negative integer", val)
+				return alt{}, 0, fmt.Errorf("limit %q is not a non-negative integer", val)
 			}
-			t.limit = n
+			a.limit = n
 		case "errno":
+			if k != kindErr {
+				return alt{}, 0, fmt.Errorf("errno=%s is meaningless on %s", val, k)
+			}
 			sentinel, ok := errnos[val]
 			if !ok {
 				known := make([]string, 0, len(errnos))
@@ -438,17 +560,32 @@ func parseAction(s string) (*term, error) {
 					known = append(known, name)
 				}
 				sort.Strings(known)
-				return nil, fmt.Errorf("unknown errno %q (want one of %s)", val, strings.Join(known, ", "))
+				return alt{}, 0, fmt.Errorf("unknown errno %q (want one of %s)", val, strings.Join(known, ", "))
 			}
-			if t.crash {
-				return nil, fmt.Errorf("errno=%s is meaningless on crash", val)
+			a.errno = sentinel
+		case "d":
+			if k != kindLatency && k != kindStall {
+				return alt{}, 0, fmt.Errorf("d=%s is meaningless on %s", val, k)
 			}
-			t.errno = sentinel
+			d, err := time.ParseDuration(val)
+			if err != nil || d <= 0 {
+				return alt{}, 0, fmt.Errorf("d %q is not a positive duration", val)
+			}
+			a.d = d
+		case "burst":
+			if k != kind5xx {
+				return alt{}, 0, fmt.Errorf("burst=%s is meaningless on %s", val, k)
+			}
+			n, err := strconv.Atoi(val)
+			if err != nil || n < 1 {
+				return alt{}, 0, fmt.Errorf("burst %q is not a positive integer", val)
+			}
+			a.burst = n
 		default:
-			return nil, fmt.Errorf("unknown argument %q", key)
+			return alt{}, 0, fmt.Errorf("unknown argument %q", key)
 		}
 	}
-	return t, nil
+	return a, seed, nil
 }
 
 // trace is the armed-decision log behind the determinism contract: with

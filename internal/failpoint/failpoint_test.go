@@ -28,6 +28,11 @@ func TestParseSpec(t *testing.T) {
 		"a.b.c=err(0.5,seed=7,after=3,limit=2,errno=ENOSPC)",
 		"a=crash(1);b=err(0.25);c=off",
 		" a = err(1) ; b = crash(0.2,seed=9) ",
+		"n=latency(0.5);n2=latency(1,d=2ms);r=reset(0.1,after=2,limit=1)",
+		"t=truncate(1);b=bitflip(0.3,seed=4);f=5xx(1,burst=3,limit=2);s=stall(1,d=2s)",
+		"net.origin=latency(0.2,d=1ms)|reset(0.2)|truncate(0.2)|bitflip(0.2)|5xx(0.2,burst=3)|stall(0.2,d=1ms)",
+		"a=err(0.5,errno=EIO)|crash(0.1)",
+		"a=reset(0.1,seed=3)|5xx(0.1,seed=3)", // agreeing seeds
 	}
 	for _, spec := range good {
 		if _, err := Parse(spec); err != nil {
@@ -35,21 +40,86 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 	bad := []string{
-		"a.b.c",                      // no action
-		"=err(1)",                    // no name
-		"a=boom(1)",                  // unknown kind
-		"a=err(2)",                   // p out of range
-		"a=err(1,seed=0)",            // zero seed reserved for "derive"
-		"a=err(1,after=-1)",          // negative after
-		"a=err(1,errno=EWOULDBLOCK)", // unknown errno
-		"a=crash(1,errno=EIO)",       // errno on crash
-		"a=err(1,wat=1)",             // unknown key
-		"a=err(1);a=err(1)",          // duplicate site
-		"a=err",                      // missing parens
+		"a.b.c",                           // no action
+		"=err(1)",                         // no name
+		"a=boom(1)",                       // unknown kind
+		"a=err(2)",                        // p out of range
+		"a=err(1,seed=0)",                 // zero seed reserved for "derive"
+		"a=err(1,after=-1)",               // negative after
+		"a=err(1,errno=EWOULDBLOCK)",      // unknown errno
+		"a=crash(1,errno=EIO)",            // errno on crash
+		"a=err(1,wat=1)",                  // unknown key
+		"a=err(1);a=err(1)",               // duplicate site
+		"a=err",                           // missing parens
+		"a=reset(1,errno=EIO)",            // errno on a wire kind
+		"a=err(1,d=1ms)",                  // d on err
+		"a=crash(1,burst=2)",              // burst on crash
+		"a=reset(1,d=1ms)",                // d only on latency and stall
+		"a=stall(1,burst=2)",              // burst only on 5xx
+		"a=latency(1,d=0s)",               // non-positive duration
+		"a=stall(1,d=soon)",               // not a duration
+		"a=5xx(1,burst=0)",                // burst below 1
+		"a=reset(1)|",                     // empty alternative
+		"a=reset(1)|off",                  // off is a whole action
+		"a=reset(1,seed=3)|5xx(1,seed=4)", // alternatives disagree on the seed
+		"a=err(NaN)",                      // probability not a number
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) = nil, want error", spec)
+		}
+	}
+}
+
+// FuzzParse: Parse never panics, and any spec it accepts arms and
+// disarms cleanly.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"a.b=err(0.5,seed=7,after=3,limit=2,errno=ENOSPC)",
+		"a=crash(1);b=off",
+		"n=latency(0.2,d=1ms)|reset(0.2)|truncate(0.2)|bitflip(0.2)|5xx(0.2,burst=3)|stall(0.2,d=1ms)",
+		"x=5xx(1,burst=2,limit=1);y=stall(0.1,d=3s,seed=9)",
+		"a=reset(1,errno=EIO)",
+		"=|(,)",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		if _, err := Parse(spec); err != nil {
+			return
+		}
+		defer DisarmAll()
+		if err := Arm(spec, 1); err != nil {
+			t.Fatalf("Parse accepted %q but Arm rejected it: %v", spec, err)
+		}
+	})
+}
+
+// TestWireKindAtStorageSite: a storage site whose term fires a wire kind
+// returns the injected error.
+func TestWireKindAtStorageSite(t *testing.T) {
+	reset(t)
+	fp := New("test.inject.wirekind")
+	if err := Arm("test.inject.wirekind=reset(1)", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := fp.Inject(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Inject = %v, want ErrInjected", err)
+	}
+}
+
+// TestAlternativesFirstFiringWins: alternatives are tried in order, so a
+// certain first alternative shadows the rest, and an exhausted one
+// (limit) hands over to the next.
+func TestAlternativesFirstFiringWins(t *testing.T) {
+	reset(t)
+	fp := New("test.inject.alts")
+	if err := Arm("test.inject.alts=err(1,limit=2,errno=EIO)|err(1,errno=ENOSPC)", 1); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []error{syscall.EIO, syscall.EIO, syscall.ENOSPC, syscall.ENOSPC} {
+		if err := fp.Inject(); !errors.Is(err, want) {
+			t.Fatalf("hit %d: Inject = %v, want %v", i, err, want)
 		}
 	}
 }

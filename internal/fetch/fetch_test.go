@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/failpoint"
 	"repro/internal/history"
 	"repro/internal/psl"
 	"repro/internal/resilience"
@@ -24,6 +25,19 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Cleanup(ts.Close)
 	return s, ts
 }
+
+// failResp arms the raw-list failpoint with a wire action (e.g.
+// "5xx(1)") until heal or the end of the test.
+func failResp(t *testing.T, action string) {
+	t.Helper()
+	if err := failpoint.Arm(fpResp.Name()+"="+action, 1); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(heal)
+}
+
+// heal disarms the raw-list failpoint.
+func heal() { failpoint.Disarm(fpResp.Name()) }
 
 func TestServerServesLatest(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -98,20 +112,21 @@ func TestClientSeesNewVersionAfterChange(t *testing.T) {
 }
 
 func TestFailureInjection(t *testing.T) {
-	s, ts := newTestServer(t)
-	s.SetFailureRate(1)
+	_, ts := newTestServer(t)
+	before := fpResp.Triggers()
+	failResp(t, "5xx(1)")
 	c := NewClient(ts.URL + ListPath)
 	if _, err := c.Fetch(context.Background()); err == nil {
 		t.Fatal("fetch succeeded under 100% failure injection")
 	}
-	if _, failures := s.Stats(); failures == 0 {
+	if fpResp.Triggers() == before {
 		t.Error("no failures recorded")
 	}
 }
 
 func TestUpdaterFallbackSemantics(t *testing.T) {
-	s, ts := newTestServer(t)
-	s.SetFailureRate(1)
+	_, ts := newTestServer(t)
+	failResp(t, "5xx(1)")
 	embedded := testHistory.ListAt(300)
 	u := NewUpdater(embedded, NewClient(ts.URL+ListPath), StrategyOnStartup, 0)
 	u.Start(context.Background())
@@ -126,7 +141,7 @@ func TestUpdaterFallbackSemantics(t *testing.T) {
 	}
 
 	// The network heals; the next refresh swaps in the fresh list.
-	s.SetFailureRate(0)
+	heal()
 	var swapped bool
 	u.OnSwap = func(old, fresh *psl.List) { swapped = old.Len() != fresh.Len() }
 	if err := u.Refresh(context.Background()); err != nil {
@@ -203,8 +218,8 @@ func TestUpdaterPeriodic(t *testing.T) {
 }
 
 func TestRefreshWithRetry(t *testing.T) {
-	s, ts := newTestServer(t)
-	s.FailNext(2)
+	_, ts := newTestServer(t)
+	failResp(t, "5xx(1,limit=2)")
 	embedded := testHistory.ListAt(100)
 	u := NewUpdater(embedded, NewClient(ts.URL+ListPath), StrategyOnStartup, 0)
 	if err := u.RefreshWithRetry(context.Background(), 4, time.Millisecond); err != nil {
@@ -220,8 +235,8 @@ func TestRefreshWithRetry(t *testing.T) {
 }
 
 func TestRefreshWithRetryExhausted(t *testing.T) {
-	s, ts := newTestServer(t)
-	s.FailNext(10)
+	_, ts := newTestServer(t)
+	failResp(t, "5xx(1,limit=10)")
 	u := NewUpdater(testHistory.ListAt(100), NewClient(ts.URL+ListPath), StrategyOnStartup, 0)
 	if err := u.RefreshWithRetry(context.Background(), 3, time.Millisecond); err == nil {
 		t.Fatal("retry should exhaust")
@@ -232,8 +247,8 @@ func TestRefreshWithRetryExhausted(t *testing.T) {
 }
 
 func TestRefreshWithRetryContextCancel(t *testing.T) {
-	s, ts := newTestServer(t)
-	s.FailNext(10)
+	_, ts := newTestServer(t)
+	failResp(t, "5xx(1,limit=10)")
 	u := NewUpdater(testHistory.ListAt(100), NewClient(ts.URL+ListPath), StrategyOnStartup, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -247,8 +262,8 @@ func TestRefreshWithRetryContextCancel(t *testing.T) {
 // configured threshold of transport failures is reached, further
 // Fetch calls return resilience.ErrOpen without touching the network.
 func TestClientBreakerFastFails(t *testing.T) {
-	s, ts := newTestServer(t)
-	s.SetFailureRate(1)
+	_, ts := newTestServer(t)
+	failResp(t, "5xx(1)")
 	c := NewClient(ts.URL + ListPath)
 	c.Breaker = resilience.NewBreaker(resilience.BreakerOptions{
 		FailureThreshold: 3,
@@ -259,14 +274,14 @@ func TestClientBreakerFastFails(t *testing.T) {
 			t.Fatalf("fetch %d succeeded under 100%% failure injection", i)
 		}
 	}
-	_, failuresBefore := s.Stats()
+	failuresBefore := fpResp.Triggers()
 	for i := 0; i < 5; i++ {
 		_, err := c.Fetch(context.Background())
 		if !errors.Is(err, resilience.ErrOpen) {
 			t.Fatalf("fetch after threshold: err = %v, want ErrOpen", err)
 		}
 	}
-	if _, failuresAfter := s.Stats(); failuresAfter != failuresBefore {
+	if failuresAfter := fpResp.Triggers(); failuresAfter != failuresBefore {
 		t.Errorf("open breaker still reached the server: failures %d -> %d",
 			failuresBefore, failuresAfter)
 	}
@@ -278,8 +293,8 @@ func TestClientBreakerFastFails(t *testing.T) {
 // TestClientBreakerRecovers heals the server, waits out the open
 // window, and checks a half-open probe closes the circuit again.
 func TestClientBreakerRecovers(t *testing.T) {
-	s, ts := newTestServer(t)
-	s.SetFailureRate(1)
+	_, ts := newTestServer(t)
+	failResp(t, "5xx(1)")
 	c := NewClient(ts.URL + ListPath)
 	c.Breaker = resilience.NewBreaker(resilience.BreakerOptions{
 		FailureThreshold: 2,
@@ -294,7 +309,7 @@ func TestClientBreakerRecovers(t *testing.T) {
 	if c.Breaker.State() != resilience.BreakerOpen {
 		t.Fatalf("breaker state = %v, want open", c.Breaker.State())
 	}
-	s.SetFailureRate(0)
+	heal()
 	time.Sleep(10 * time.Millisecond)
 	if _, err := c.Fetch(context.Background()); err != nil {
 		t.Fatalf("probe fetch after heal: %v", err)

@@ -1,10 +1,12 @@
 package fetch
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/failpoint"
 	"repro/internal/history"
 	"repro/internal/obs"
 )
@@ -17,6 +19,8 @@ func TestServerMetrics(t *testing.T) {
 	srv := NewServer(h)
 	reg := obs.NewRegistry()
 	srv.RegisterMetrics(reg)
+	failpoint.RegisterMetrics(reg)
+	injectedBefore := fpResp.Triggers()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -46,7 +50,7 @@ func TestServerMetrics(t *testing.T) {
 		t.Fatalf("GET /v/0: %d", rec.Code)
 	}
 	// One injected failure.
-	srv.FailNext(1)
+	failResp(t, "5xx(1,limit=1)")
 	if rec := get(ListPath, ""); rec.Code != 503 {
 		t.Fatalf("injected failure: %d, want 503", rec.Code)
 	}
@@ -57,7 +61,7 @@ func TestServerMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"psl_fetch_requests_total 5",
-		"psl_fetch_failures_injected_total 1",
+		fmt.Sprintf(`psl_failpoint_triggers_total{name="fetch.server.resp"} %d`, injectedBefore+1),
 		"psl_fetch_renders_total 2",
 		"psl_fetch_render_cache_hits_total 2",
 		"psl_fetch_not_modified_total 1",

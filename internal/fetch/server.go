@@ -4,10 +4,11 @@
 // network fails — together with an HTTP server that publishes
 // historical list versions (a stand-in for publicsuffix.org).
 //
-// Failure injection on the server side lets the examples and tests
-// reproduce the paper's core risk scenario: an "updated" project whose
-// update silently fails and which continues running on its stale
-// embedded copy.
+// Failure injection on the server side (the fetch.server.resp
+// failpoint, armed with a spec such as 'fetch.server.resp=5xx(1)') lets
+// the examples and tests reproduce the paper's core risk scenario: an
+// "updated" project whose update silently fails and which continues
+// running on its stale embedded copy.
 package fetch
 
 import (
@@ -19,9 +20,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/failpoint"
 	"repro/internal/history"
 	"repro/internal/obs"
 )
+
+// fpResp fronts every raw-list response; arm it with any wire fault
+// kind to fail downloads.
+var fpResp = failpoint.New("fetch.server.resp")
 
 // ListPath is the canonical request path for the current list, matching
 // the upstream layout.
@@ -46,16 +52,15 @@ type renderedVersion struct {
 // Responses carry ETag (the rule-set fingerprint) and Last-Modified
 // headers and honour If-None-Match / If-Modified-Since.
 //
-// All mutators (SetCurrent, SetFailureRate, FailNext) are safe to call
-// while requests are in flight: the knobs are independent atomics, so a
-// request observes each knob at one instant and never a torn mix, and
-// the response body for whatever version it reads is immutable.
+// Every response passes through the fetch.server.resp failpoint. The
+// one mutator, SetCurrent, is safe to call while requests are in
+// flight, and the response body for whatever version a request reads is
+// immutable.
 type Server struct {
 	h *history.History
 
 	current  atomic.Int64 // version served at ListPath
-	inject   *Injector    // failure injection (503s by default)
-	inner    http.Handler // serve path behind the injector
+	inner    http.Handler // serve path behind the failpoint
 	requests obs.Counter
 
 	// render-cache telemetry: renders counts versions serialized (cache
@@ -74,11 +79,8 @@ type Server struct {
 
 // NewServer creates a server initially publishing the newest version.
 func NewServer(h *history.History) *Server {
-	s := &Server{
-		h:      h,
-		inject: NewInjector(1, Fail5xx),
-	}
-	s.inner = s.inject.Wrap(http.HandlerFunc(s.serve))
+	s := &Server{h: h}
+	s.inner = fpResp.Wrap(http.HandlerFunc(s.serve))
 	s.current.Store(int64(h.Len() - 1))
 	return s
 }
@@ -98,30 +100,15 @@ func (s *Server) Current() int {
 	return int(s.current.Load())
 }
 
-// SetFailureRate makes the server fail the given fraction of requests
-// (1.0 = all) with 503, exercising client fallback paths. Safe to call
-// concurrently with in-flight requests.
-func (s *Server) SetFailureRate(p float64) {
-	s.inject.SetFailureRate(p)
-}
-
-// FailNext makes the server fail exactly the next n requests with 503,
-// for deterministic retry tests.
-func (s *Server) FailNext(n int) {
-	s.inject.FailNext(n)
-}
-
-// Stats reports requests served and failures injected.
-func (s *Server) Stats() (requests, failures int) {
-	return int(s.requests.Load()), int(s.inject.Injected())
-}
+// Requests reports requests received, injected failures included.
+func (s *Server) Requests() int { return int(s.requests.Load()) }
 
 // RegisterMetrics attaches the raw-list server's metric families to a
-// registry: request and injected-failure counters, per-version render
-// cache hit/fill counters, and conditional-request short circuits.
+// registry: the request counter, per-version render cache hit/fill
+// counters, and conditional-request short circuits. Injected failures
+// are counted by psl_failpoint_triggers_total{name="fetch.server.resp"}.
 func (s *Server) RegisterMetrics(r *obs.Registry) {
 	r.MustRegister("psl_fetch_requests_total", "Raw-list requests received (including injected failures).", nil, &s.requests)
-	r.MustRegister("psl_fetch_failures_injected_total", "Requests failed on purpose (failrate / FailNext).", nil, s.inject.InjectedCounter())
 	r.MustRegister("psl_fetch_renders_total", "List versions serialized into the render cache.", nil, &s.renders)
 	r.MustRegister("psl_fetch_render_cache_hits_total", "Requests served from an already-rendered version.", nil, &s.renderHits)
 	r.MustRegister("psl_fetch_not_modified_total", "Conditional requests answered 304 Not Modified.", nil, &s.notModified)
@@ -149,7 +136,7 @@ func (s *Server) render(seq int) *renderedVersion {
 }
 
 // ServeHTTP implements http.Handler: every request is counted, then
-// routed through the failure injector before the real serve path.
+// routed through the fetch.server.resp failpoint to the real serve path.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.inner.ServeHTTP(w, r)

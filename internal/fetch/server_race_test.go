@@ -2,24 +2,31 @@ package fetch
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"sync"
 	"testing"
+
+	"repro/internal/failpoint"
 )
 
 // TestServerKnobsSafeUnderLoad is the -race regression for the server's
-// mutable state: SetCurrent, SetFailureRate and FailNext churn while
-// many clients fetch concurrently, and every 200 body must parse to a
-// version the server could legitimately have been serving.
+// mutable state: SetCurrent and re-arming the fetch.server.resp
+// failpoint churn while many clients fetch concurrently, and every 200
+// body must parse to a version the server could legitimately have been
+// serving.
 func TestServerKnobsSafeUnderLoad(t *testing.T) {
 	s := NewServer(testHistory)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// The knob churner flips every mutable knob the public API exposes.
+	// The knob churner flips the server's version and the failpoint's
+	// armed spec.
+	injectedBefore := fpResp.Triggers()
+	t.Cleanup(heal)
 	const flips = 150
 	versions := []int{0, testHistory.Len() / 3, testHistory.Len() / 2, testHistory.Len() - 1}
 	done := make(chan struct{})
@@ -27,13 +34,15 @@ func TestServerKnobsSafeUnderLoad(t *testing.T) {
 		defer close(done)
 		for i := 0; i < flips; i++ {
 			s.SetCurrent(versions[i%len(versions)])
-			s.SetFailureRate(float64(i%4) * 0.1)
+			spec := fmt.Sprintf("%s=5xx(%.1f)", fpResp.Name(), float64(i%4)*0.1)
 			if i%10 == 0 {
-				s.FailNext(1)
+				spec = fpResp.Name() + "=5xx(1,limit=1)"
+			}
+			if err := failpoint.Arm(spec, int64(i+1)); err != nil {
+				t.Error(err)
 			}
 		}
-		s.SetFailureRate(0)
-		s.FailNext(0)
+		heal()
 	}()
 
 	// Valid bodies, by length: the knob values above are the only
@@ -85,8 +94,7 @@ func TestServerKnobsSafeUnderLoad(t *testing.T) {
 
 	// After the dust settles the canonical path must serve the last
 	// configured version, whole and parseable.
-	s.SetFailureRate(0)
-	s.FailNext(0)
+	heal()
 	c := NewClient(ts.URL + ListPath)
 	l, err := c.Fetch(context.Background())
 	if err != nil {
@@ -95,7 +103,7 @@ func TestServerKnobsSafeUnderLoad(t *testing.T) {
 	if !wantRules[l.Len()] {
 		t.Errorf("final list has %d rules, not a configured version", l.Len())
 	}
-	reqs, fails := s.Stats()
+	reqs, fails := s.Requests(), int(fpResp.Triggers()-injectedBefore)
 	if reqs < 16*40 {
 		t.Errorf("stats report %d requests, want >= %d", reqs, 16*40)
 	}

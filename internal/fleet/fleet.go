@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/dist"
 	"repro/internal/failpoint"
 	"repro/internal/faultfs"
@@ -20,17 +19,19 @@ import (
 	"repro/internal/psl"
 )
 
-// Tier names used for chaos targeting and reporting.
-const (
-	TierOrigin = "origin" // faults between relays (or 1-tier edges) and the origin
-	TierRelay  = "relay"  // faults between edges and the relay tier
+// Wire fault sites: net.origin fronts the origin tier (what relays, or
+// single-tier edges, fetch from) and net.relay every relay. Arm them
+// through Config.Failpoints.
+var (
+	fpOrigin = failpoint.New("net.origin")
+	fpRelay  = failpoint.New("net.relay")
 )
 
 // Config parameterises one fleet run. Zero values get defaults; the
 // whole struct is echoed into the report, so two runs are comparable
 // iff their echoes match.
 type Config struct {
-	// Seed drives everything: poll jitter, churn victims, chaos
+	// Seed drives everything: poll jitter, churn victims, fault
 	// decisions, and replica backoff jitter all derive from it.
 	Seed int64 `json:"seed"`
 	// Edges is the initial edge-replica population.
@@ -48,7 +49,7 @@ type Config struct {
 	// HeadStep versions are published every AdvanceEvery during the run.
 	HeadStep     int           `json:"head_step"`
 	AdvanceEvery time.Duration `json:"advance_every_ns"`
-	// Duration is the churn-and-chaos phase length; after it the fleet
+	// Duration is the churn-and-fault phase length; after it the fleet
 	// gets a quiet convergence window.
 	Duration time.Duration `json:"duration_ns"`
 	// BasePoll is the median edge poll interval; per-edge intervals are
@@ -59,10 +60,6 @@ type Config struct {
 	// is replaced by a fresh edge RejoinDelay later when time permits.
 	ChurnFraction float64       `json:"churn_fraction"`
 	RejoinDelay   time.Duration `json:"rejoin_delay_ns"`
-	// ChaosRate arms the chaos proxies on ChaosTiers with every fault
-	// class at that injection rate for the run's Duration.
-	ChaosRate  float64  `json:"chaos_rate"`
-	ChaosTiers []string `json:"chaos_tiers,omitempty"`
 	// MaxHop bounds edge and relay patch spans.
 	MaxHop int `json:"max_hop"`
 	// SampleEvery is the lag sampler cadence.
@@ -72,11 +69,12 @@ type Config struct {
 	ConvergeTimeout time.Duration `json:"converge_timeout_ns"`
 
 	// Failpoints, when non-empty, is a failpoint spec (see
-	// internal/failpoint) armed for the whole run with Seed as the base
-	// seed and disarmed when Run returns — storage faults layered under
-	// the wire faults ChaosRate injects. Only err-mode terms are
-	// accepted: a crash-mode panic on an edge goroutine would kill the
-	// simulator process, so crash specs are a setup error here (they
+	// internal/failpoint) armed with Seed as the base seed. Wire faults
+	// go on net.origin and net.relay and heal when Duration ends, so the
+	// convergence window runs on a clean wire; storage faults (the
+	// dist.state.* sites) stay armed until Run returns. Crash-mode terms
+	// are rejected: a crash-mode panic on an edge goroutine would kill
+	// the simulator process, so crash specs are a setup error here (they
 	// belong to internal/torture, which converts the panic into a
 	// simulated power cut).
 	Failpoints string `json:"failpoints,omitempty"`
@@ -88,7 +86,7 @@ type Config struct {
 	EdgeState bool `json:"edge_state,omitempty"`
 
 	// Metrics, when non-nil, receives the run's metric families (origin,
-	// per-tier chaos, and fleet-level lag/egress gauges). Not echoed.
+	// failpoint triggers, and fleet-level lag/egress gauges). Not echoed.
 	Metrics *obs.Registry `json:"-"`
 }
 
@@ -281,22 +279,10 @@ func (f *fleet) waterfalls() []SeqWaterfall {
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 
-	// Storage faults: armed before any component is built (sites
-	// register on first arm), disarmed whatever way the run ends. The
-	// trigger counters are global to the process, so the report carries
-	// the delta across this run, not the absolute counts.
-	var fpBase map[string]uint64
-	if cfg.Failpoints != "" {
-		if crash, err := failpoint.SpecHasCrash(cfg.Failpoints); err != nil {
-			return nil, fmt.Errorf("fleet: failpoints: %w", err)
-		} else if crash {
-			return nil, fmt.Errorf("fleet: crash-mode failpoints in %q would kill the simulator process; use err mode (crash belongs to internal/torture)", cfg.Failpoints)
-		}
-		if err := failpoint.Arm(cfg.Failpoints, cfg.Seed); err != nil {
-			return nil, fmt.Errorf("fleet: failpoints: %w", err)
-		}
-		defer failpoint.DisarmAll()
-		fpBase = failpoint.TriggerCounts()
+	if crash, err := failpoint.SpecHasCrash(cfg.Failpoints); err != nil {
+		return nil, fmt.Errorf("fleet: failpoints: %w", err)
+	} else if crash {
+		return nil, fmt.Errorf("fleet: crash-mode failpoints in %q would kill the simulator process; use err mode (crash belongs to internal/torture)", cfg.Failpoints)
 	}
 
 	heads := cfg.headSchedule()
@@ -307,18 +293,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	origin := dist.NewOrigin(h)
 	origin.SetHead(cfg.StartHead)
 
-	// Origin tier: true-egress meter directly on the origin, chaos above
-	// it, and the client-side transport whoever follows the origin uses.
+	// Origin tier: true-egress meter directly on the origin, the
+	// net.origin fault site above it, and the client-side transport
+	// whoever follows the origin uses.
 	originT := NewHandlerTransport(origin)
-	chaosOrigin := chaos.NewProxy("http://origin.fleet", chaos.Options{
-		Seed:    cfg.Seed + 101,
-		Latency: cfg.BasePoll / 4,
-		Stall:   cfg.BasePoll,
-		Tier:    TierOrigin,
-		Client:  &http.Client{Transport: originT},
-	})
-	originTierT := NewHandlerTransport(chaosOrigin)
-	originClient := &http.Client{Transport: originTierT}
+	originClient := &http.Client{Transport: NewHandlerTransport(fpOrigin.Wrap(forward(originT)))}
 
 	f := &fleet{
 		cfg:       cfg,
@@ -332,15 +311,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	defer cancelRun()
 
 	// Relay tier (when configured): each relay follows the origin
-	// through the origin-tier chaos, re-serves downstream through its
-	// own chaos proxy, and every verified install is checked against the
-	// origin chain — relays are held to the same zero-unverified
-	// invariant as edges.
+	// through net.origin, re-serves downstream behind net.relay, and
+	// every verified install is checked against the origin chain —
+	// relays are held to the same zero-unverified invariant as edges.
 	var (
-		relays      []*dist.Relay
-		relayT      []*HandlerTransport
-		chaosRelays []*chaos.Proxy
-		relayDone   = make(chan struct{})
+		relays    []*dist.Relay
+		relayT    []*HandlerTransport
+		relayDone = make(chan struct{})
 	)
 	if cfg.Relays > 0 {
 		edgeRouter := hostRouter{}
@@ -356,17 +333,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			rep.OnVerified = f.verify
 			rl := dist.NewRelay(rep, dist.RelayOptions{Retain: cfg.Retain})
 			rt := NewHandlerTransport(rl)
-			cp := chaos.NewProxy(fmt.Sprintf("http://relay%d.fleet", i), chaos.Options{
-				Seed:    cfg.Seed + 300 + int64(i),
-				Latency: cfg.BasePoll / 4,
-				Stall:   cfg.BasePoll,
-				Tier:    TierRelay,
-				Client:  &http.Client{Transport: rt},
-			})
-			edgeRouter[fmt.Sprintf("relay%d.fleet", i)] = cp
+			edgeRouter[fmt.Sprintf("relay%d.fleet", i)] = fpRelay.Wrap(forward(rt))
 			relays = append(relays, rl)
 			relayT = append(relayT, rt)
-			chaosRelays = append(chaosRelays, cp)
 		}
 		f.edgeClient = &http.Client{Transport: NewHandlerTransport(edgeRouter)}
 		f.edgeURL = func(id int) string { return fmt.Sprintf("http://relay%d.fleet", id%cfg.Relays) }
@@ -393,32 +362,24 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		f.edgeURL = func(int) string { return "http://origin.fleet" }
 	}
 
-	if reg := cfg.Metrics; reg != nil {
-		origin.RegisterMetrics(reg)
-		chaosOrigin.RegisterMetrics(reg)
-		if len(chaosRelays) > 0 {
-			chaosRelays[0].RegisterMetrics(reg)
+	// Faults arm once the relay tier is up and before any edge starts
+	// (arming registers sites no component has touched yet), and are
+	// disarmed whatever way the run ends. The trigger counters are
+	// global to the process, so the report carries the delta across
+	// this run, not the absolute counts.
+	var fpBase map[string]uint64
+	if cfg.Failpoints != "" {
+		if err := failpoint.Arm(cfg.Failpoints, cfg.Seed); err != nil {
+			return nil, fmt.Errorf("fleet: failpoints: %w", err)
 		}
-		f.registerMetrics(reg, originT, relayT)
+		defer failpoint.DisarmAll()
+		fpBase = failpoint.TriggerCounts()
 	}
 
-	// Arm chaos on the configured tiers.
-	armed := make([]*chaos.Proxy, 0, 1+len(chaosRelays))
-	for _, tier := range cfg.ChaosTiers {
-		switch tier {
-		case TierOrigin:
-			armed = append(armed, chaosOrigin)
-		case TierRelay:
-			armed = append(armed, chaosRelays...)
-		default:
-			return nil, fmt.Errorf("fleet: unknown chaos tier %q", tier)
-		}
-	}
-	if cfg.ChaosRate > 0 {
-		for _, p := range armed {
-			p.SetFaults(chaos.AllFaults...)
-			p.SetRate(cfg.ChaosRate)
-		}
+	if reg := cfg.Metrics; reg != nil {
+		origin.RegisterMetrics(reg)
+		failpoint.RegisterMetrics(reg)
+		f.registerMetrics(reg, originT, relayT)
 	}
 
 	start := time.Now()
@@ -494,7 +455,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}()
 
-	// Churn-and-chaos phase.
+	// Churn-and-fault phase.
 	if !sleepUntil(ctx, start.Add(cfg.Duration)) {
 		cancelRun()
 		f.drain(relayDone)
@@ -504,9 +465,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// Quiet convergence window: heal the wire, make sure the final head
 	// is out (the advancer might have been a tick from its last step),
 	// and wait for every live node to reach it.
-	for _, p := range armed {
-		p.SetRate(0)
-	}
+	failpoint.Disarm(fpOrigin.Name())
+	failpoint.Disarm(fpRelay.Name())
 	origin.SetHead(finalHead)
 	f.notePublish(finalHead)
 	if finalAt.Load() == 0 {
@@ -516,10 +476,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	cancelRun()
 	f.drain(relayDone)
-	chaosOrigin.Close()
-	for _, p := range chaosRelays {
-		p.Close()
-	}
 
 	// Assemble the report.
 	rep := &Report{
@@ -534,7 +490,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Killed:          int(killed.Load()),
 		Rejoined:        int(rejoined.Load()),
 		Convergence:     conv,
-		Chaos:           map[string]map[string]uint64{TierOrigin: chaosCounts(chaosOrigin)},
 	}
 	samplesMu.Lock()
 	rep.LagSeries = samples
@@ -544,13 +499,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	rep.Egress.OriginRequests = originT.Requests()
 	if cfg.Relays > 0 {
 		rep.Tiers = 2
-		relayChaos := make(map[string]uint64)
-		for _, p := range chaosRelays {
-			for class, n := range chaosCounts(p) {
-				relayChaos[class] += n
-			}
-		}
-		rep.Chaos[TierRelay] = relayChaos
 		for i, rt := range relayT {
 			rep.Egress.RelayBytes += rt.Bytes()
 			rep.Egress.RelayRequests += rt.Requests()
@@ -798,24 +746,15 @@ func (f *fleet) registerMetrics(reg *obs.Registry, originT *HandlerTransport, re
 	reg.MustRegister("psl_fleet_unverified_swaps_total", "Installs whose fingerprint diverged from the origin chain.",
 		nil, obs.GaugeFunc(func() float64 { return float64(f.unverified.Load()) }))
 	reg.MustRegister("psl_fleet_tier_egress_bytes", "Response bytes served by the tier's nodes.",
-		obs.Labels{{"tier", TierOrigin}}, obs.GaugeFunc(func() float64 { return float64(originT.Bytes()) }))
+		obs.Labels{{"tier", "origin"}}, obs.GaugeFunc(func() float64 { return float64(originT.Bytes()) }))
 	reg.MustRegister("psl_fleet_tier_egress_bytes", "Response bytes served by the tier's nodes.",
-		obs.Labels{{"tier", TierRelay}}, obs.GaugeFunc(func() float64 {
+		obs.Labels{{"tier", "relay"}}, obs.GaugeFunc(func() float64 {
 			var n uint64
 			for _, rt := range relayT {
 				n += rt.Bytes()
 			}
 			return float64(n)
 		}))
-}
-
-// chaosCounts snapshots a proxy's per-class injection counters.
-func chaosCounts(p *chaos.Proxy) map[string]uint64 {
-	m := make(map[string]uint64, len(chaos.AllFaults))
-	for _, f := range chaos.AllFaults {
-		m[f.String()] = p.InjectedBy(f)
-	}
-	return m
 }
 
 // bootstrapWithRetry bootstraps a replica, retrying transient failures

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -31,6 +32,14 @@ func testConfig() Config {
 		MaxHop:       8,
 		SampleEvery:  150 * time.Millisecond,
 	}
+}
+
+// wireFaults arms all six wire kinds, each alternative at p and 5xx in
+// bursts of 3, on both fleet sites. Durations match testConfig's
+// BasePoll of 40ms: latency a quarter of it, stall all of it.
+func wireFaults(p float64) string {
+	alts := fmt.Sprintf("latency(%[1]g,d=10ms)|reset(%[1]g)|truncate(%[1]g)|bitflip(%[1]g)|5xx(%[1]g,burst=3)|stall(%[1]g,d=40ms)", p)
+	return "net.origin=" + alts + ";net.relay=" + alts
 }
 
 func TestFleetTwoTierConvergence(t *testing.T) {
@@ -98,8 +107,7 @@ func TestFleetEgressComparison(t *testing.T) {
 func TestFleetDeterministicForSeed(t *testing.T) {
 	cfg := testConfig()
 	cfg.ChurnFraction = 0.25
-	cfg.ChaosRate = 0.15
-	cfg.ChaosTiers = []string{TierOrigin, TierRelay}
+	cfg.Failpoints = wireFaults(0.027) // 1-(1-0.027)^6 ≈ 15% of requests
 	a, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("run A: %v", err)
@@ -116,13 +124,12 @@ func TestFleetDeterministicForSeed(t *testing.T) {
 	}
 }
 
-// TestFleetChaosAtBothTiers: with every fault class armed at both
+// TestFleetChaosAtBothTiers: with every wire fault kind armed at both
 // tiers, the fleet still converges after the wire heals and never
 // swaps an unverified snapshot.
 func TestFleetChaosAtBothTiers(t *testing.T) {
 	cfg := testConfig()
-	cfg.ChaosRate = 0.25
-	cfg.ChaosTiers = []string{TierOrigin, TierRelay}
+	cfg.Failpoints = wireFaults(0.047) // 1-(1-0.047)^6 ≈ 25% of requests
 	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -133,15 +140,9 @@ func TestFleetChaosAtBothTiers(t *testing.T) {
 	if !rep.Converged {
 		t.Fatalf("fleet did not converge after healing: %+v", rep.Convergence)
 	}
-	var originFaults, relayFaults uint64
-	for _, n := range rep.Chaos[TierOrigin] {
-		originFaults += n
-	}
-	for _, n := range rep.Chaos[TierRelay] {
-		relayFaults += n
-	}
+	originFaults, relayFaults := rep.FailpointTriggers["net.origin"], rep.FailpointTriggers["net.relay"]
 	if originFaults == 0 || relayFaults == 0 {
-		t.Fatalf("chaos injected nothing: origin %d relay %d", originFaults, relayFaults)
+		t.Fatalf("wire faults injected nothing: origin %d relay %d", originFaults, relayFaults)
 	}
 }
 
@@ -239,7 +240,8 @@ func TestFleetMetricsExposition(t *testing.T) {
 		`psl_fleet_tier_egress_bytes{tier="origin"}`,
 		`psl_fleet_tier_egress_bytes{tier="relay"}`,
 		"psl_fleet_unverified_swaps_total 0",
-		`psl_chaos_faults_total{tier="origin",class="reset"}`,
+		`psl_failpoint_triggers_total{name="net.origin"}`,
+		`psl_failpoint_triggers_total{name="net.relay"}`,
 		"psl_dist_origin_requests_total",
 	} {
 		if !strings.Contains(text, want) {
@@ -264,20 +266,21 @@ func TestFleetThousandEdges(t *testing.T) {
 	// scheduler, so wall-clock windows (poll cadence, head cadence, the
 	// convergence deadline) are stretched until the starvation fits
 	// inside them. On a multi-core box the fleet simply converges early.
+	const heavyFaults = "latency(0.0034,d=500ms)|reset(0.0034)|truncate(0.0034)|bitflip(0.0034)|5xx(0.0034,burst=3)|stall(0.0034,d=2s)"
 	cfg := Config{
-		Seed:            7,
-		Edges:           1000,
-		Relays:          8,
-		Retain:          128,
-		Versions:        120,
-		HeadStep:        2,
-		Duration:        15 * time.Second,
-		AdvanceEvery:    5 * time.Second,
-		BasePoll:        2 * time.Second,
-		PollSkew:        0.6,
-		ChurnFraction:   0.01,
-		ChaosRate:       0.02,
-		ChaosTiers:      []string{TierOrigin, TierRelay},
+		Seed:          7,
+		Edges:         1000,
+		Relays:        8,
+		Retain:        128,
+		Versions:      120,
+		HeadStep:      2,
+		Duration:      15 * time.Second,
+		AdvanceEvery:  5 * time.Second,
+		BasePoll:      2 * time.Second,
+		PollSkew:      0.6,
+		ChurnFraction: 0.01,
+		// 1-(1-0.0034)^6 ≈ 2% of requests; durations scaled to BasePoll.
+		Failpoints:      "net.origin=" + heavyFaults + ";net.relay=" + heavyFaults,
 		ConvergeTimeout: 5 * time.Minute,
 	}
 	tiered, naive, err := RunComparison(context.Background(), cfg)

@@ -39,9 +39,9 @@ type Convergence struct {
 }
 
 // Egress is the per-tier serving volume. OriginBytes is measured at the
-// transport wrapped directly around the origin handler — chaos and
-// relays sit above it — so it is the true number the fan-out exists to
-// shrink.
+// transport wrapped directly around the origin handler — the fault
+// sites and relays sit above it — so it is the true number the fan-out
+// exists to shrink.
 type Egress struct {
 	OriginBytes    uint64 `json:"origin_bytes"`
 	OriginRequests uint64 `json:"origin_requests"`
@@ -87,7 +87,7 @@ type Report struct {
 
 	// UnverifiedSwaps counts edge installs whose fingerprint did not
 	// match the origin chain. The invariant the whole protocol exists to
-	// hold: this is zero, always, chaos or not.
+	// hold: this is zero, always, faults or not.
 	UnverifiedSwaps uint64 `json:"unverified_swaps"`
 
 	HeadSchedule []int        `json:"head_schedule"`
@@ -101,20 +101,15 @@ type Report struct {
 	Egress      Egress         `json:"egress"`
 	Edges       Totals         `json:"edge_totals"`
 
-	// Chaos counts faults actually injected, by tier and class. Under
-	// concurrent traffic the seeded RNG's draw order follows request
-	// arrival order, so these are reproducible in distribution but not
-	// byte-stable — they are deliberately absent from DeterministicView.
-	Chaos map[string]map[string]uint64 `json:"chaos_faults"`
-
 	// Compactions is how many multi-step patches the relay tier served.
 	Compactions uint64 `json:"relay_compactions"`
 
-	// FailpointTriggers counts, per site, the storage faults the armed
-	// Config.Failpoints spec actually injected during this run. Like the
-	// chaos counters, the totals follow the edges' poll interleaving —
-	// reproducible in distribution, not byte-stable — so they are
-	// deliberately absent from DeterministicView.
+	// FailpointTriggers counts, per site, the wire and storage faults
+	// the armed Config.Failpoints spec actually injected during this
+	// run. Under concurrent traffic a site's seeded RNG draws in request
+	// arrival order, so the totals are reproducible in distribution but
+	// not byte-stable — they are deliberately absent from
+	// DeterministicView.
 	FailpointTriggers map[string]uint64 `json:"failpoint_triggers,omitempty"`
 }
 
@@ -122,9 +117,8 @@ type Report struct {
 // across two runs with the same Config (including Seed): the topology,
 // the precomputed schedules, the final head, and the invariants.
 // Timing-dependent observations (lag samples, convergence seconds,
-// retry and
-// chaos counters) are excluded by design — they vary with scheduler
-// interleaving even under a fixed seed.
+// retry and fault counters) are excluded by design — they vary with
+// scheduler interleaving even under a fixed seed.
 func (r *Report) DeterministicView() map[string]any {
 	return map[string]any{
 		"config":           r.Config,

@@ -2,7 +2,7 @@
 // /dist/ replication fan-out: one origin, a tier of relays, and
 // thousands of edge replicas, wired together without sockets so a
 // single test process can drive fleet-scale topologies. Poll jitter,
-// churn, and chaos faults are all derived from one master seed, and the
+// churn, and wire faults are all derived from one master seed, and the
 // run emits a report whose deterministic view is byte-stable across
 // runs with the same seed — the property the deflake guard diffs.
 package fleet
@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -23,7 +24,7 @@ import (
 // measures true per-tier egress: the transport wrapped directly around
 // a tier's handler sees exactly the bytes that tier served.
 //
-// Handler panics with http.ErrAbortHandler — the idiom the chaos proxy
+// Handler panics with http.ErrAbortHandler — the idiom failpoint.Wrap
 // and real net/http servers use to cut a connection — are translated to
 // what a socket client would observe: a transport error when nothing
 // was written yet (connection reset), or a body that delivers the
@@ -76,7 +77,7 @@ func (r *recorder) Write(p []byte) (int, error) {
 	return r.buf.Write(p)
 }
 
-// Flush implements http.Flusher; the chaos proxy flushes before
+// Flush implements http.Flusher; failpoint.Wrap flushes before
 // aborting a truncated body. Everything is in memory, so it's a no-op.
 func (r *recorder) Flush() {}
 
@@ -126,6 +127,25 @@ func (t *HandlerTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 		ContentLength: int64(len(body)),
 		Request:       req,
 	}, nil
+}
+
+// forward serves each request by round-tripping it through rt, so a
+// fault site wrapped around it sits above rt's egress meter: the meter
+// counts what the tier's own handler served, never an injected 503 or
+// a truncated copy.
+func forward(rt http.RoundTripper) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		resp, err := rt.RoundTrip(r)
+		if err != nil {
+			panic(http.ErrAbortHandler)
+		}
+		defer resp.Body.Close()
+		maps.Copy(w.Header(), resp.Header)
+		w.WriteHeader(resp.StatusCode)
+		if _, err := io.Copy(w, resp.Body); err != nil {
+			panic(http.ErrAbortHandler)
+		}
+	})
 }
 
 // hostRouter dispatches by the request's host, the addressing scheme

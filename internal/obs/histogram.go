@@ -115,7 +115,9 @@ func (h *Histogram) Mean() time.Duration {
 // Quantile estimates the q-quantile (0 <= q <= 1) by linear
 // interpolation inside the bucket the target rank falls into, the same
 // estimate a Prometheus histogram_quantile would produce from the
-// exposition. Observations in the +Inf bucket are attributed the
+// exposition, clamped to the tracked maximum: the interpolated point
+// can sit above the largest observation when that observation lies low
+// in its bucket. Observations in the +Inf bucket are attributed the
 // tracked maximum, so Quantile(1) == Max. Returns 0 before any Observe.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h == nil {
@@ -159,7 +161,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		}
 		upper := h.bounds[i]
 		frac := (target - cum) / float64(n)
-		return time.Duration((lower + (upper-lower)*frac) * float64(time.Second))
+		return min(time.Duration((lower+(upper-lower)*frac)*float64(time.Second)), h.Max())
 	}
 	return h.Max()
 }

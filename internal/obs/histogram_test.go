@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -147,4 +148,75 @@ func TestHistogramBadBounds(t *testing.T) {
 		}
 	}()
 	NewHistogram([]float64{2, 1})
+}
+
+// TestHistogramQuantileProperties: over seeded random observations the
+// estimate is monotone in q, never above Max, and Quantile(1) == Max —
+// including while goroutines keep observing. The first case pins the
+// regression: one observation low in the 10–25µs bucket used to yield a
+// p99 interpolated far above it.
+func TestHistogramQuantileProperties(t *testing.T) {
+	qs := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
+	check := func(t *testing.T, h *Histogram) {
+		t.Helper()
+		prev := time.Duration(0)
+		for _, q := range qs {
+			got := h.Quantile(q)
+			if got < prev {
+				t.Fatalf("Quantile(%g) = %v below Quantile of a smaller q (%v)", q, got, prev)
+			}
+			if max := h.Max(); got > max {
+				t.Fatalf("Quantile(%g) = %v above Max %v", q, got, max)
+			}
+			prev = got
+		}
+		if got, max := h.Quantile(1), h.Max(); got != max {
+			t.Fatalf("Quantile(1) = %v, want Max %v", got, max)
+		}
+	}
+
+	low := NewHistogram(nil)
+	low.Observe(13900 * time.Nanosecond)
+	check(t, low)
+
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := NewHistogram(nil)
+		for i, n := 0, 1+rng.Intn(500); i < n; i++ {
+			// Log-uniform over 50ns..5s spans every bucket and +Inf.
+			h.Observe(time.Duration(50 * math.Pow(1e8, rng.Float64())))
+		}
+		check(t, h)
+	}
+
+	// Under concurrent Observe each call sees its own snapshot, so only
+	// per-call bounds hold; the full property set is checked once the
+	// writers stop.
+	h := NewHistogram(nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(time.Duration(50 * math.Pow(1e8, rng.Float64())))
+				}
+			}
+		}(int64(g + 1))
+	}
+	for i := 0; i < 2000; i++ {
+		q := qs[i%len(qs)]
+		if got := h.Quantile(q); got > h.Max() {
+			t.Fatalf("concurrent Quantile(%g) = %v above Max %v", q, got, h.Max())
+		}
+	}
+	close(stop)
+	wg.Wait()
+	check(t, h)
 }

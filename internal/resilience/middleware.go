@@ -55,8 +55,8 @@ func (w *startedWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // Recover converts a handler panic into a 500 plus a panics-counter
 // increment instead of a dead connection with a stack trace in the log.
 // http.ErrAbortHandler is re-panicked untouched — it is the sanctioned
-// way to abort a response mid-body (the fetch injector and chaos proxy
-// rely on it) and net/http suppresses its stack trace. If the response
+// way to abort a response mid-body (failpoint.Wrap's wire faults rely
+// on it) and net/http suppresses its stack trace. If the response
 // has already started when a panic arrives, the connection is aborted
 // (counted first): a truncated body must not look like a complete one.
 func Recover(panics *obs.Counter, next http.Handler) http.Handler {
