@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race chaos fleet fleet-heavy torture bench bench-json bench-sanity bench-scaling metrics-lint
+.PHONY: all build test perfbench-check race chaos fleet fleet-heavy torture bench bench-json bench-sanity bench-scaling metrics-lint
 
 all: build test
 
@@ -9,6 +9,11 @@ build:
 
 test:
 	go test ./...
+
+# perfbench/ is its own module, outside the root ./...: vet and test it
+# so a serve API change cannot break the benchmark harness unseen.
+perfbench-check:
+	cd perfbench && go vet . && go test -count=1 .
 
 race:
 	go test -race ./internal/psl/ ./internal/serve/ ./internal/obs/ ./internal/experiments/ ./internal/dist/ ./internal/resilience/ ./internal/failpoint/ ./internal/chaos/ ./internal/fleet/

@@ -240,7 +240,7 @@ func TestVersionedLookupAgainstRawList(t *testing.T) {
 // fails in parseFlags — before any listener binds or history generates.
 func TestParseFlagsErrors(t *testing.T) {
 	bad := [][]string{
-		{"-matcher", "quantum"},
+		{"-matcher", "quantum"}, // undefined flag: the serving matcher is fixed
 		{"-failpoints", "fetch.server.resp=5xx(1.5)"},
 		{"-failpoints", "fetch.server.resp=5xx(-0.1)"},
 		{"-age", "-3"},
@@ -275,12 +275,12 @@ func TestParseFlagsErrors(t *testing.T) {
 	}
 
 	const spec = "dist.state.rename=err(1);submit.persist.sync=crash(0.2,seed=7);fetch.server.resp=5xx(0.25)"
-	cfg, err := parseFlags([]string{"-matcher", "trie", "-age", "30", "-debug-addr", "127.0.0.1:0",
+	cfg, err := parseFlags([]string{"-age", "30", "-debug-addr", "127.0.0.1:0",
 		"-failpoints", spec})
 	if err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
-	if cfg.matcher != "trie" || cfg.newMatcher == nil || cfg.age != 30 || cfg.debugAddr == "" {
+	if cfg.age != 30 || cfg.debugAddr == "" {
 		t.Errorf("parsed config %+v", cfg)
 	}
 	if cfg.failpoints != spec {

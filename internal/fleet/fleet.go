@@ -259,9 +259,8 @@ func (f *fleet) waterfalls() []SeqWaterfall {
 			Seq:         seq,
 			PublishedAt: f.pubAt[seq].Seconds(),
 			Installs:    len(delays),
-			P50:         percentile(delays, 50),
-			P99:         percentile(delays, 99),
 		}
+		w.P50, w.P99 = spread(delays)
 		for _, d := range delays {
 			if d > w.Max {
 				w.Max = d
@@ -669,8 +668,7 @@ func (f *fleet) sampleLag(head int, t time.Duration) LagSample {
 	}
 	f.mu.Unlock()
 	s := LagSample{T: seconds(t), Live: len(lags)}
-	s.P50 = percentile(lags, 50)
-	s.P99 = percentile(lags, 99)
+	s.P50, s.P99 = spread(lags)
 	for _, l := range lags {
 		if int64(l) > s.Max {
 			s.Max = int64(l)
@@ -717,10 +715,9 @@ func (f *fleet) awaitConvergence(ctx context.Context, relays []*dist.Relay, fina
 			conv := Convergence{
 				Converged: len(reached),
 				Live:      liveCount,
-				P50:       percentile(times, 50),
-				P99:       percentile(times, 99),
 				Max:       maxT,
 			}
+			conv.P50, conv.P99 = spread(times)
 			return conv, pending == 0
 		}
 		time.Sleep(2 * time.Millisecond)

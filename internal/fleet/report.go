@@ -2,9 +2,9 @@ package fleet
 
 import (
 	"encoding/json"
-	"math"
-	"sort"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // LagSample is one sampler tick: the distribution of seqs-behind across
@@ -148,22 +148,14 @@ func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// percentile reads the p-th percentile (0 < p <= 100) from an unsorted
-// sample set using nearest-rank; returns 0 for an empty set.
-func percentile(samples []float64, p float64) float64 {
+// spread reads the p50 and p99 of an unsorted sample set with
+// stats.Percentile (linear interpolation between closest ranks). An
+// empty set reads 0, 0, keeping reports JSON-encodable.
+func spread(samples []float64) (p50, p99 float64) {
 	if len(samples) == 0 {
-		return 0
+		return 0, 0
 	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	rank := int(math.Ceil(p / 100 * float64(len(s))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(s) {
-		rank = len(s)
-	}
-	return s[rank-1]
+	return stats.Percentile(samples, 50), stats.Percentile(samples, 99)
 }
 
 // seconds converts a duration for report fields.

@@ -132,36 +132,54 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	// Snapshot the buckets once so concurrent Observes cannot make the
 	// running total disagree with the per-bucket reads.
 	snap := make([]uint64, len(h.counts))
-	var total uint64
 	for i := range h.counts {
 		snap[i] = h.counts[i].Load()
-		total += snap[i]
+	}
+	top := h.Max()
+	ns := bucketQuantile(snap, q, func(i int) (lo, hi float64) {
+		if i == len(h.bounds) {
+			// +Inf bucket: the best point estimate is the tracked max.
+			return float64(top), float64(top)
+		}
+		if i > 0 {
+			lo = h.bounds[i-1] * float64(time.Second)
+		}
+		return lo, h.bounds[i] * float64(time.Second)
+	})
+	return min(time.Duration(ns), top)
+}
+
+// bucketQuantile is the one bucketed quantile estimate, shared by
+// Histogram.Quantile and the runtime/metrics histograms: it finds the
+// bucket holding the q-th fraction (q clamped to [0, 1]) of the
+// per-bucket counts and interpolates linearly between that bucket's
+// finite edges, as reported by edges. It returns 0 for an empty
+// histogram. Callers clamp the result to their own best "max".
+func bucketQuantile(counts []uint64, q float64, edges func(i int) (lo, hi float64)) float64 {
+	var total uint64
+	for _, n := range counts {
+		total += n
 	}
 	if total == 0 {
 		return 0
 	}
-	target := q * float64(total)
+	target := min(max(q, 0), 1) * float64(total)
 	var cum float64
-	for i, n := range snap {
+	last := 0
+	for i, n := range counts {
 		if n == 0 {
 			continue
 		}
+		last = i
 		next := cum + float64(n)
 		if target > next {
 			cum = next
 			continue
 		}
-		lower := 0.0
-		if i > 0 {
-			lower = h.bounds[i-1]
-		}
-		if i == len(h.bounds) {
-			// +Inf bucket: the best point estimate is the tracked max.
-			return h.Max()
-		}
-		upper := h.bounds[i]
-		frac := (target - cum) / float64(n)
-		return min(time.Duration((lower+(upper-lower)*frac)*float64(time.Second)), h.Max())
+		lo, hi := edges(i)
+		return lo + (hi-lo)*(target-cum)/float64(n)
 	}
-	return h.Max()
+	// Only float rounding of the running total lands here.
+	_, hi := edges(last)
+	return hi
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -219,4 +220,40 @@ func TestHistogramQuantileProperties(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	check(t, h)
+
+	// The runtime/metrics path shares the interpolation loop but clamps
+	// to the highest occupied edge; ±Inf boundary buckets stay finite.
+	edges := []float64{math.Inf(-1), 0}
+	for e := 1e-9; e < 10; e *= 2 {
+		edges = append(edges, e)
+	}
+	edges = append(edges, math.Inf(1))
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rh := &metrics.Float64Histogram{Buckets: edges, Counts: make([]uint64, len(edges)-1)}
+		top := 0.0
+		for i := range rh.Counts {
+			if rng.Intn(3) == 0 {
+				rh.Counts[i] = uint64(1 + rng.Intn(100))
+				top = edges[i+1]
+				if math.IsInf(top, 1) {
+					top = edges[i]
+				}
+			}
+		}
+		prev := math.Inf(-1)
+		for _, q := range qs {
+			got := float64HistQuantile(rh, q)
+			if got < prev {
+				t.Fatalf("seed %d: runtime quantile(%g) = %g below a smaller q's %g", seed, q, got, prev)
+			}
+			if got > top || math.IsInf(got, 0) || math.IsNaN(got) {
+				t.Fatalf("seed %d: runtime quantile(%g) = %g outside the highest occupied edge %g", seed, q, got, top)
+			}
+			prev = got
+		}
+		if got := float64HistQuantile(rh, 1); got != top {
+			t.Fatalf("seed %d: runtime quantile(1) = %g, want highest occupied edge %g", seed, got, top)
+		}
+	}
 }

@@ -113,46 +113,31 @@ func (rs *runtimeSampler) quantile(key string, q float64) float64 {
 }
 
 // float64HistQuantile estimates a quantile of a runtime
-// Float64Histogram by linear interpolation inside the target bucket,
-// clamping the ±Inf boundary buckets to their finite edge.
+// Float64Histogram with bucketQuantile, clamping the ±Inf boundary
+// buckets to their finite edge and the estimate to the upper edge of
+// the highest occupied bucket (the histogram's resolution of "max").
 func float64HistQuantile(h *metrics.Float64Histogram, q float64) float64 {
-	if h == nil || len(h.Counts) == 0 {
+	if h == nil {
 		return 0
 	}
-	var total uint64
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	target := q * float64(total)
-	var cum float64
-	lastOccupied := 0.0
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		lo, hi := h.Buckets[i], h.Buckets[i+1]
+	edges := func(i int) (lo, hi float64) {
+		lo, hi = h.Buckets[i], h.Buckets[i+1]
 		if math.IsInf(lo, -1) {
 			lo = hi
 		}
 		if math.IsInf(hi, 1) {
 			hi = lo
 		}
-		lastOccupied = hi
-		next := cum + float64(c)
-		if target > next {
-			cum = next
-			continue
-		}
-		frac := (target - cum) / float64(c)
-		return lo + (hi-lo)*frac
+		return lo, hi
 	}
-	return lastOccupied
+	top := 0.0
+	for i := len(h.Counts) - 1; i >= 0; i-- {
+		if h.Counts[i] > 0 {
+			_, top = edges(i)
+			break
+		}
+	}
+	return min(bucketQuantile(h.Counts, q, edges), top)
 }
 
 // RegisterRuntimeMetrics attaches ~8 Go-runtime telemetry families fed

@@ -204,12 +204,18 @@ func NewLinearMatcher(l *List) *LinearMatcher {
 // Match implements Matcher.
 func (lm *LinearMatcher) Match(name string) Result {
 	best := Result{SuffixLabels: 1, Implicit: true}
+	exc := Result{SuffixLabels: -1}
 	for _, r := range lm.rules {
 		if !r.Match(name) {
 			continue
 		}
 		if r.Exception {
-			return Result{SuffixLabels: domain.CountLabels(r.Suffix) - 1, Rule: r}
+			// When several exceptions match, the shortest prevails, as
+			// in the other matchers' walk from the rightmost label.
+			if n := domain.CountLabels(r.Suffix) - 1; exc.SuffixLabels < 0 || n < exc.SuffixLabels {
+				exc = Result{SuffixLabels: n, Rule: r}
+			}
+			continue
 		}
 		n := domain.CountLabels(r.Suffix)
 		if r.Wildcard {
@@ -218,6 +224,9 @@ func (lm *LinearMatcher) Match(name string) Result {
 		if n >= best.SuffixLabels && (best.Implicit || n > best.SuffixLabels || preferRule(r, best.Rule)) {
 			best = Result{SuffixLabels: n, Rule: r}
 		}
+	}
+	if exc.SuffixLabels >= 0 {
+		return exc
 	}
 	return best
 }

@@ -134,6 +134,31 @@ func TestSuffixIsSuffixOfName(t *testing.T) {
 
 // TestMatchersAgreeOnFixture pins the equivalence on the realistic
 // fixture rules too.
+// TestNestedExceptionsAgree pins the multi-exception case: when two
+// exception rules match, the shortest prevails in every matcher, as in
+// the map and trie walks from the rightmost label. The linear matcher
+// used to return whichever exception came first in list order.
+func TestNestedExceptionsAgree(t *testing.T) {
+	l := MustParse("*.c\n!a.b.c\n!b.c\n")
+	mm := NewMapMatcher(l)
+	for _, host := range []string{"a.b.c", "x.a.b.c"} {
+		want := mm.Match(host)
+		if want.SuffixLabels != 1 || want.Rule.Suffix != "b.c" {
+			t.Fatalf("map matcher on %q = %+v, want the !b.c exception", host, want)
+		}
+		for name, m := range map[string]Matcher{
+			"trie":   NewTrieMatcher(l),
+			"linear": NewLinearMatcher(l),
+			"sorted": NewSortedMatcher(l),
+			"packed": NewPackedMatcher(l),
+		} {
+			if got := m.Match(host); got.SuffixLabels != want.SuffixLabels || got.Rule != want.Rule {
+				t.Errorf("%s on %q = %+v, map %+v", name, host, got, want)
+			}
+		}
+	}
+}
+
 func TestMatchersAgreeOnFixture(t *testing.T) {
 	l := fixture(t)
 	matchers := []struct {

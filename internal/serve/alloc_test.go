@@ -11,19 +11,16 @@ import (
 	"repro/internal/resilience"
 )
 
-// TestSnapshotDefaultsToPackedMatcher pins the serving default: unless
-// Options.NewMatcher overrides it, snapshots answer through the packed
-// compiled matcher.
+// TestSnapshotDefaultsToPackedMatcher pins the serving default:
+// snapshots answer through the packed compiled matcher.
 func TestSnapshotDefaultsToPackedMatcher(t *testing.T) {
 	snap := NewSnapshot(fixture(t), -1)
 	if _, ok := snap.Matcher.(*psl.PackedMatcher); !ok {
 		t.Fatalf("default snapshot matcher is %T, want *psl.PackedMatcher", snap.Matcher)
 	}
-	svc := New(fixture(t), -1, Options{
-		NewMatcher: func(l *psl.List) psl.Matcher { return psl.NewTrieMatcher(l) },
-	})
-	if _, ok := svc.Current().Matcher.(*psl.TrieMatcher); !ok {
-		t.Fatalf("override ignored: snapshot matcher is %T", svc.Current().Matcher)
+	svc := New(fixture(t), -1, Options{})
+	if _, ok := svc.Current().Matcher.(*psl.PackedMatcher); !ok {
+		t.Fatalf("service snapshot matcher is %T, want *psl.PackedMatcher", svc.Current().Matcher)
 	}
 }
 
@@ -37,7 +34,7 @@ func TestLookupCachedHitZeroAlloc(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"instrumented": {},
 		"metricsOff":   {DisableMetrics: true},
-		"withRegistry": {MatcherName: "packed"},
+		"withRegistry": {},
 	} {
 		svc := New(fixture(t), -1, opts)
 		if name == "withRegistry" {

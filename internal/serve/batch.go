@@ -176,8 +176,8 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: perr.Error()})
 			return
 		}
-		if count > s.opts.MaxBatch {
-			writeBatchTooLarge(w, count, s.opts.MaxBatch)
+		if count > MaxBatch {
+			writeBatchTooLarge(w, count)
 			return
 		}
 		sp.End()
@@ -202,8 +202,8 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// NDJSON: count rows first so an oversized batch is rejected
 		// before any answer is produced.
 		count := countLines(body)
-		if count > s.opts.MaxBatch {
-			writeBatchTooLarge(w, count, s.opts.MaxBatch)
+		if count > MaxBatch {
+			writeBatchTooLarge(w, count)
 			return
 		}
 		sp.End()
@@ -258,10 +258,10 @@ func (s *Service) appendBatchRow(dst []byte, st *state, host []byte, t *batchTal
 	return appendAnswerJSON(dst, &a)
 }
 
-// writeBatchTooLarge rejects a batch exceeding the row bound.
-func writeBatchTooLarge(w http.ResponseWriter, count, max int) {
+// writeBatchTooLarge rejects a batch exceeding MaxBatch rows.
+func writeBatchTooLarge(w http.ResponseWriter, count int) {
 	writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
-		Error: "batch of " + strconv.Itoa(count) + " rows exceeds limit " + strconv.Itoa(max),
+		Error: "batch of " + strconv.Itoa(count) + " rows exceeds limit " + strconv.Itoa(MaxBatch),
 	})
 }
 

@@ -195,7 +195,11 @@ func TestHTTPBatchBinary(t *testing.T) {
 // TestHTTPBatchLimits checks the refusal paths: method, row bound in
 // both modes, and malformed binary envelopes.
 func TestHTTPBatchLimits(t *testing.T) {
-	svc := New(fixture(t), -1, Options{MaxBatch: 4})
+	svc := New(fixture(t), -1, Options{})
+	oversized := make([]string, MaxBatch+1)
+	for i := range oversized {
+		oversized[i] = "a.com"
+	}
 
 	req := httptest.NewRequest(http.MethodGet, BatchPath, nil)
 	rec := httptest.NewRecorder()
@@ -204,14 +208,14 @@ func TestHTTPBatchLimits(t *testing.T) {
 		t.Errorf("GET: status %d, want 405", rec.Code)
 	}
 
-	req = httptest.NewRequest(http.MethodPost, BatchPath, strings.NewReader("a.com\nb.com\nc.com\nd.com\ne.com\n"))
+	req = httptest.NewRequest(http.MethodPost, BatchPath, strings.NewReader(strings.Join(oversized, "\n")+"\n"))
 	rec = httptest.NewRecorder()
 	svc.ServeHTTP(rec, req)
 	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("5-row NDJSON at MaxBatch=4: status %d, want 413", rec.Code)
+		t.Errorf("MaxBatch+1-row NDJSON: status %d, want 413", rec.Code)
 	}
 
-	payload, err := EncodeBatchRequest([]string{"a.com", "b.com", "c.com", "d.com", "e.com"})
+	payload, err := EncodeBatchRequest(oversized)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +224,7 @@ func TestHTTPBatchLimits(t *testing.T) {
 	rec = httptest.NewRecorder()
 	svc.ServeHTTP(rec, req)
 	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("5-row binary at MaxBatch=4: status %d, want 413", rec.Code)
+		t.Errorf("MaxBatch+1-row binary: status %d, want 413", rec.Code)
 	}
 
 	small, err := EncodeBatchRequest([]string{"a.com", "b.com"})

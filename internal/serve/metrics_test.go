@@ -85,12 +85,6 @@ func TestServiceVersionedLookupCompileOnce(t *testing.T) {
 	if svc.Current().Seq != 5 {
 		t.Errorf("current seq = %d, want 5", svc.Current().Seq)
 	}
-
-	// A NewMatcher override must not engage the packed compile cache.
-	override := NewFromHistory(h, h.Len()-1, Options{NewMatcher: nil, MatcherName: "packed"})
-	if override.compiled == nil {
-		t.Error("named default matcher should still use the compile cache")
-	}
 }
 
 // TestMetricsDisabled pins that DisableMetrics keeps the service fully

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,28 +24,9 @@ type Options struct {
 	// excess requests are rejected with 503 + Retry-After. <= 0 selects
 	// DefaultMaxInFlight.
 	MaxInFlight int
-	// MaxBatch bounds the rows accepted by one /v1/batch request (a
-	// whole batch costs a single admission ticket, so the row bound is
-	// what keeps one client from monopolising the service). <= 0 selects
-	// DefaultMaxBatch.
-	MaxBatch int
-	// CacheSize bounds the lookup cache (entries). <= 0 selects
-	// DefaultCacheSize.
-	CacheSize int
 	// History, when set, enables versioned lookups (?version=N) and
 	// SetVersion, serving any historical list version on demand.
 	History *history.History
-	// VersionCacheSize bounds how many historical snapshots are kept
-	// materialised for ?version=N lookups. <= 0 selects 8.
-	VersionCacheSize int
-	// NewMatcher, when set, overrides how snapshot matchers are built
-	// (for ablation or debugging against the other implementations).
-	// nil selects the packed compiled matcher.
-	NewMatcher func(*psl.List) psl.Matcher
-	// MatcherName names the matcher implementation in metric labels and
-	// /healthz. Empty selects "packed" when NewMatcher is nil and
-	// "custom" otherwise.
-	MatcherName string
 	// DisableMetrics turns off latency instrumentation (the lookup
 	// counters stay on — they predate the metrics layer and are part of
 	// CacheStats). Exists so BenchmarkServeLookupInstrumented can
@@ -58,8 +38,18 @@ type Options struct {
 // DefaultMaxInFlight is the default admission bound.
 const DefaultMaxInFlight = 256
 
-// DefaultMaxBatch is the default row bound of one /v1/batch request.
-const DefaultMaxBatch = 8192
+// MaxBatch bounds the rows accepted by one /v1/batch request (a whole
+// batch costs a single admission ticket, so the row bound is what keeps
+// one client from monopolising the service).
+const MaxBatch = 8192
+
+// versionsRetained bounds how many compiled history versions ?version=N
+// lookups and SetVersion keep resident.
+const versionsRetained = 8
+
+// matcherName labels the serving matcher in metrics and /healthz.
+// Snapshots always answer through the packed compiled matcher.
+const matcherName = "packed"
 
 // hitSampleEvery is the cache-hit latency sampling period: one in every
 // hitSampleEvery hits arms end-to-end timing for the following lookup.
@@ -133,8 +123,6 @@ type Service struct {
 	blobInstalls    obs.Counter
 	reuseInstalls   obs.Counter
 
-	matcherName string
-
 	// src describes where snapshots come from; nil means the default
 	// local source (the service owns its list or history directly).
 	src atomic.Pointer[srcInfo]
@@ -150,16 +138,10 @@ type Service struct {
 	// admission semaphore for /v1/lookup.
 	tokens chan struct{}
 
-	// compiled amortises matcher compilation for ?version=N lookups
-	// over the shared history compile cache (default matcher only;
-	// NewMatcher overrides fall back to per-version builds).
+	// compiled amortises matcher compilation for ?version=N lookups and
+	// SetVersion over the shared history compile cache; nil without a
+	// history.
 	compiled *history.CompileCache
-
-	// bounded cache of materialised historical snapshots for
-	// ?version=N lookups.
-	versionMu    sync.Mutex
-	versionSnaps map[int]*Snapshot
-	versionOrder []int
 
 	mux   http.Handler
 	start time.Time
@@ -190,26 +172,10 @@ func newService(opts Options) *Service {
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = DefaultMaxInFlight
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = DefaultMaxBatch
-	}
-	if opts.VersionCacheSize <= 0 {
-		opts.VersionCacheSize = 8
-	}
-	name := opts.MatcherName
-	if name == "" {
-		if opts.NewMatcher == nil {
-			name = "packed"
-		} else {
-			name = "custom"
-		}
-	}
 	s := &Service{
-		opts:         opts,
-		matcherName:  name,
-		tokens:       make(chan struct{}, opts.MaxInFlight),
-		versionSnaps: make(map[int]*Snapshot),
-		start:        time.Now(),
+		opts:   opts,
+		tokens: make(chan struct{}, opts.MaxInFlight),
+		start:  time.Now(),
 	}
 	if !opts.DisableMetrics {
 		s.m = &timing{
@@ -218,8 +184,8 @@ func newService(opts Options) *Service {
 			batch: obs.NewHistogram(nil),
 		}
 	}
-	if opts.History != nil && opts.NewMatcher == nil {
-		s.compiled = history.NewCompileCache(opts.History, opts.VersionCacheSize)
+	if opts.History != nil {
+		s.compiled = history.NewCompileCache(opts.History, versionsRetained)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(LookupPath, s.handleLookup)
@@ -311,7 +277,7 @@ func NewFromHistory(h *history.History, seq int, opts Options) *Service {
 // service runs versioned lookups over a compile cache, that cache's
 // families are registered too.
 func (s *Service) RegisterMetrics(r *obs.Registry) {
-	n := s.matcherName
+	n := matcherName
 	r.MustRegister("psl_serve_lookups_total", "Lookups by result (hit/miss against the answer cache, error for invalid hosts).",
 		obs.Labels{{"matcher", n}, {"result", "hit"}}, &s.hits)
 	r.MustRegister("psl_serve_lookups_total", "Lookups by result (hit/miss against the answer cache, error for invalid hosts).",
@@ -376,7 +342,7 @@ var fpInstallBlob = failpoint.New("serve.install.blob")
 func (s *Service) install(snap *Snapshot) *Snapshot {
 	snap.Gen = s.gen.Add(1)
 	s.swapNanos.Store(time.Now().UnixNano())
-	s.st.Store(&state{snap: snap, cache: NewCache(s.opts.CacheSize)})
+	s.st.Store(&state{snap: snap, cache: NewCache(DefaultCacheSize)})
 	return snap
 }
 
@@ -425,15 +391,11 @@ func (s *Service) SwapVerified(l *psl.List, seq int, fp string, m psl.Matcher) *
 	return s.install(snap)
 }
 
-// buildSnapshot constructs a snapshot honouring the Options.NewMatcher
-// override; the default is the packed compiled matcher. Every call is a
-// full matcher compile and counts as one in the install-provenance
+// buildSnapshot compiles l into a packed-matcher snapshot. Every call
+// is a full matcher compile and counts as one in the install-provenance
 // metric.
 func (s *Service) buildSnapshot(l *psl.List, seq int) *Snapshot {
 	s.compileInstalls.Add(1)
-	if s.opts.NewMatcher != nil {
-		return NewSnapshotWith(l, seq, s.opts.NewMatcher(l))
-	}
 	return NewSnapshot(l, seq)
 }
 
@@ -446,20 +408,14 @@ func (s *Service) MatcherInstalls() (compile, blob, reuse uint64) {
 
 // SetVersion materialises and installs history version seq. It errors
 // without a configured history or for an out-of-range seq. The matcher
-// comes from the versioned-lookup cache, so flipping between recently
+// comes from the history compile cache, so flipping between recently
 // served versions does not recompile.
 func (s *Service) SetVersion(seq int) error {
-	h := s.opts.History
-	if h == nil {
-		return errors.New("serve: no history configured")
+	snap, err := s.snapshotAt(seq)
+	if err != nil {
+		return err
 	}
-	if seq < 0 || seq >= h.Len() {
-		return fmt.Errorf("serve: version %d out of range [0,%d)", seq, h.Len())
-	}
-	// Install a copy: the cached snapshot stays Gen-less and shareable,
-	// the installed one carries its swap generation.
-	snap := *s.versionSnapshot(seq)
-	s.install(&snap)
+	s.install(snap)
 	return nil
 }
 
@@ -531,45 +487,30 @@ func (s *Service) Lookup(host string) (Answer, error) {
 }
 
 // LookupAt answers against a specific history version, bypassing the
-// lookup cache (historical traffic is assumed cold); the materialised
-// snapshot itself is cached so repeated versioned queries stay cheap.
+// lookup cache (historical traffic is assumed cold); the compiled
+// matcher itself is cached so repeated versioned queries stay cheap.
 func (s *Service) LookupAt(host string, seq int) (Answer, error) {
-	h := s.opts.History
-	if h == nil {
-		return Answer{}, errors.New("serve: no history configured")
+	snap, err := s.snapshotAt(seq)
+	if err != nil {
+		return Answer{}, err
 	}
-	if seq < 0 || seq >= h.Len() {
-		return Answer{}, fmt.Errorf("serve: version %d out of range [0,%d)", seq, h.Len())
-	}
-	return s.versionSnapshot(seq).Resolve(host)
+	return snap.Resolve(host)
 }
 
-// versionSnapshot returns a materialised snapshot of history version
-// seq, keeping a small FIFO-bounded cache of recently used versions.
-// With the default matcher, compilation goes through the shared history
-// compile cache so SetVersion and LookupAt never compile one version
-// twice.
-func (s *Service) versionSnapshot(seq int) *Snapshot {
-	s.versionMu.Lock()
-	defer s.versionMu.Unlock()
-	if snap, ok := s.versionSnaps[seq]; ok {
-		return snap
+// snapshotAt returns a fresh snapshot of history version seq over the
+// shared compile cache, so SetVersion and LookupAt never compile one of
+// the versionsRetained most recent versions twice. It errors without a
+// configured history or for an out-of-range seq.
+func (s *Service) snapshotAt(seq int) (*Snapshot, error) {
+	h := s.opts.History
+	if h == nil {
+		return nil, errors.New("serve: no history configured")
 	}
-	var snap *Snapshot
-	if s.compiled != nil {
-		l, m := s.compiled.Get(seq)
-		snap = NewSnapshotWith(l, seq, m)
-	} else {
-		snap = s.buildSnapshot(s.opts.History.ListAt(seq), seq)
+	if seq < 0 || seq >= h.Len() {
+		return nil, fmt.Errorf("serve: version %d out of range [0,%d)", seq, h.Len())
 	}
-	for len(s.versionOrder) >= s.opts.VersionCacheSize {
-		old := s.versionOrder[0]
-		s.versionOrder = s.versionOrder[1:]
-		delete(s.versionSnaps, old)
-	}
-	s.versionSnaps[seq] = snap
-	s.versionOrder = append(s.versionOrder, seq)
-	return snap
+	l, m := s.compiled.Get(seq)
+	return NewSnapshotWith(l, seq, m), nil
 }
 
 // --- HTTP layer ------------------------------------------------------
@@ -719,7 +660,7 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 		LagSeqs:            lag,
 		Version:            snap.List.Version,
 		Seq:                snap.Seq,
-		Matcher:            s.matcherName,
+		Matcher:            matcherName,
 		GoVersion:          runtime.Version(),
 		Swaps:              s.Swaps(),
 		SnapshotAgeSeconds: age.Seconds(),

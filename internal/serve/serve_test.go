@@ -207,6 +207,36 @@ func TestLookupAt(t *testing.T) {
 	}
 }
 
+// TestLookupAtBoundedVersions drives versioned lookups over more
+// distinct versions than the service retains: every answer must still
+// match the library on that version, and the compile cache must stay
+// within versionsRetained (a bound of 0 would mean unbounded).
+func TestLookupAtBoundedVersions(t *testing.T) {
+	s, h := newHistoryService(t, Options{})
+	hosts := []string{"www.example.com", "a.b.city.kobe.jp", "shop.myshopify.com", "x.blogspot.co.uk"}
+	for seq := 0; seq < versionsRetained+3; seq++ {
+		l := h.ListAt(seq)
+		for _, host := range hosts {
+			a, err := s.LookupAt(host, seq)
+			if err != nil {
+				t.Fatalf("LookupAt(%q, %d): %v", host, seq, err)
+			}
+			etld, _, err := l.PublicSuffix(host)
+			if err != nil {
+				t.Fatal(err)
+			}
+			site, _ := l.Site(host)
+			if a.Seq != seq || a.ETLD != etld || a.Site != site {
+				t.Errorf("LookupAt(%q, %d) = seq %d etld %q site %q, library etld %q site %q",
+					host, seq, a.Seq, a.ETLD, a.Site, etld, site)
+			}
+		}
+		if n := s.compiled.Len(); n > versionsRetained {
+			t.Fatalf("after %d versions the compile cache holds %d, bound %d", seq+1, n, versionsRetained)
+		}
+	}
+}
+
 // TestSetVersion checks the service can follow history versions live.
 func TestSetVersion(t *testing.T) {
 	s, h := newHistoryService(t, Options{})

@@ -8,7 +8,9 @@
 // the offline matchers — the differential tests in this package and in
 // internal/psl enforce agreement with the Map-matcher baseline — so a
 // snapshot is nothing more than an immutable (*psl.List, Matcher) pair
-// plus identity metadata. Swapping a snapshot is a single atomic pointer
+// plus identity metadata. Snapshots always answer through the packed
+// compiled matcher; the other psl matchers stay test oracles and
+// ablation subjects, never a serving option. Swapping a snapshot is a single atomic pointer
 // store; the read path takes no lock.
 package serve
 
@@ -26,9 +28,9 @@ import (
 type Snapshot struct {
 	// List is the list version this snapshot answers for.
 	List *psl.List
-	// Matcher answers lookups for this snapshot. By default it is the
-	// packed compiled matcher (zero-allocation flat-buffer trie);
-	// Options.NewMatcher can substitute any other implementation.
+	// Matcher answers lookups for this snapshot. A Service always
+	// installs the packed compiled matcher (zero-allocation flat-buffer
+	// trie), compiled locally or handed in pre-built from a dist blob.
 	Matcher psl.Matcher
 	// Seq is the history sequence number of the version, or -1 when the
 	// snapshot was installed from a bare list outside any history.
@@ -51,9 +53,9 @@ func NewSnapshot(l *psl.List, seq int) *Snapshot {
 	return NewSnapshotWith(l, seq, psl.NewPackedMatcher(l))
 }
 
-// NewSnapshotWith builds a snapshot answering through an explicit
-// matcher, for callers that want a different representation (or a
-// pre-compiled packed matcher from a cache).
+// NewSnapshotWith builds a snapshot answering through an explicit,
+// already-built matcher (a packed matcher from a compile cache or a
+// dist blob).
 func NewSnapshotWith(l *psl.List, seq int, m psl.Matcher) *Snapshot {
 	return &Snapshot{List: l, Matcher: m, Seq: seq}
 }

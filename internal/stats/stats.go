@@ -13,16 +13,7 @@ import (
 // for even lengths). It returns NaN for an empty slice. The input is
 // not modified.
 func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return Percentile(xs, 50)
 }
 
 // MedianInts is Median over ints.
@@ -35,7 +26,10 @@ func MedianInts(xs []int) float64 {
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks. NaN for empty input.
+// interpolation between closest ranks. NaN for empty input. The
+// interpolation steps up from the lower rank and is clamped to the
+// pair it interpolates, so rounding can never push the result outside
+// the samples or make it decrease as p grows.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
@@ -55,7 +49,7 @@ func Percentile(xs []float64, p float64) float64 {
 		return s[lo]
 	}
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return math.Min(math.Max(s[lo]+(s[hi]-s[lo])*frac, s[lo]), s[hi])
 }
 
 // Mean returns the arithmetic mean, NaN for empty input.

@@ -255,3 +255,52 @@ func TestPercentileMatchesSortedMedian(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPercentileProperties checks the exact-sample quantile over seeded
+// random sets: monotone in p, bounded by the sample extrema, P(0) and
+// P(100) equal to them, Median equal to P(50), and the input untouched.
+func TestPercentileProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for set := 0; set < 200; set++ {
+		xs := make([]float64, 1+rng.Intn(50))
+		for i := range xs {
+			// Signed values over ten decades, a third of them repeating
+			// their neighbour: equal adjacent ranks are where a naive
+			// a*(1-f)+b*f interpolation rounds outside [a, b].
+			xs[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(10)-5))
+			if i > 0 && rng.Intn(3) == 0 {
+				xs[i] = xs[i-1]
+			}
+		}
+		orig := append([]float64(nil), xs...)
+		s := append([]float64(nil), xs...)
+		sort.Float64s(s)
+		min, max := s[0], s[len(s)-1]
+
+		if got := Percentile(xs, 0); got != min {
+			t.Fatalf("set %d: P(0) = %v, min %v", set, got, min)
+		}
+		if got := Percentile(xs, 100); got != max {
+			t.Fatalf("set %d: P(100) = %v, max %v", set, got, max)
+		}
+		if m, p := Median(xs), Percentile(xs, 50); m != p {
+			t.Fatalf("set %d: Median %v != P(50) %v", set, m, p)
+		}
+		prev := math.Inf(-1)
+		for p := 0.0; p <= 100; p += 0.5 {
+			q := Percentile(xs, p)
+			if q < min || q > max {
+				t.Fatalf("set %d: P(%v) = %v outside [%v, %v]", set, p, q, min, max)
+			}
+			if q < prev {
+				t.Fatalf("set %d: P(%v) = %v below the previous quantile %v", set, p, q, prev)
+			}
+			prev = q
+		}
+		for i := range xs {
+			if xs[i] != orig[i] {
+				t.Fatalf("set %d: input mutated at %d: %v -> %v", set, i, orig[i], xs[i])
+			}
+		}
+	}
+}
