@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test perfbench-check race chaos fleet fleet-heavy torture bench bench-json bench-sanity bench-scaling metrics-lint
+.PHONY: all build test fmt-check perfbench-check race chaos fleet fleet-heavy torture bench bench-json bench-sanity bench-scaling metrics-lint
 
 all: build test
 
@@ -9,6 +9,12 @@ build:
 
 test:
 	go test ./...
+
+# Fails when any tracked Go file (perfbench/ included) is not
+# gofmt-clean, listing the offenders.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 # perfbench/ is its own module, outside the root ./...: vet and test it
 # so a serve API change cannot break the benchmark harness unseen.

@@ -18,6 +18,7 @@
 //	GET /metrics                       Prometheus text exposition
 //	GET /dist/manifest                 origin head descriptor (JSON)
 //	GET /dist/full/S                   full snapshot blob of version S
+//	GET /dist/blob/S                   compiled matcher blob of version S
 //	GET /dist/patch/F/T                binary delta taking F to T
 //
 // With -submit the list-maintenance write path is mounted too (origin

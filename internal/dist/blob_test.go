@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io/fs"
@@ -8,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -446,5 +448,43 @@ func TestRelayServesBlob(t *testing.T) {
 	// Outside the retained window: 404, counted as a miss at the edge.
 	if pm := edge.FetchMatcherBlob(ctx, 0, o.Chain().Fingerprint(0)); pm != nil {
 		t.Fatalf("relay served a blob outside its window")
+	}
+}
+
+// TestMatcherBlobCanonicalAcrossRoles pins blob bytes to (seq,
+// fingerprint): for versions a relay reached by patches, the origin's
+// blob (compiled from history order), the relay's blob (compiled from
+// patched lists) and a blob compiled from the DecodeFull list
+// (canonical order) are byte-identical, as their shared strong ETag
+// promises.
+func TestMatcherBlobCanonicalAcrossRoles(t *testing.T) {
+	h := testHist(t, 30)
+	o := NewOrigin(h)
+	o.SetHead(0)
+	origin := httptest.NewServer(o)
+	defer origin.Close()
+	_, rep, relaySrv := relayOver(t, origin.URL, 32)
+	if _, _, err := rep.Bootstrap(context.Background(), -1); err != nil {
+		t.Fatalf("relay bootstrap: %v", err)
+	}
+	stepTo(t, o, rep, 20)
+
+	for _, seq := range []int{15, 20} {
+		path := blobPrefix + strconv.Itoa(seq)
+		_, fromOrigin, _ := getBody(t, origin.URL+path)
+		_, fromRelay, _ := getBody(t, relaySrv.URL+path)
+		f, err := DecodeFull(EncodeFull(h.ListAt(seq), seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := f.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded := EncodeMatcherBlob(seq, f.FP, psl.NewPackedMatcher(l).Marshal())
+		if !bytes.Equal(fromOrigin, fromRelay) || !bytes.Equal(fromOrigin, decoded) {
+			t.Errorf("blob/%d: origin, relay and decoded-list blobs differ (equal: origin=relay %v, origin=decoded %v)",
+				seq, bytes.Equal(fromOrigin, fromRelay), bytes.Equal(fromOrigin, decoded))
+		}
 	}
 }

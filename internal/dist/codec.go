@@ -215,8 +215,7 @@ type Full struct {
 // version is byte-identical however its list was materialised —
 // replayed from history or rebuilt by applying patches.
 func EncodeFull(l *psl.List, seq int) []byte {
-	rules := append([]psl.Rule(nil), l.Rules()...)
-	sort.Slice(rules, func(i, j int) bool { return psl.CompareRules(rules[i], rules[j]) < 0 })
+	rules := canonicalRules(l)
 	buf := make([]byte, 0, 64+32*len(rules))
 	buf = binary.BigEndian.AppendUint32(buf, fullMagic)
 	buf = append(buf, codecVersion)
@@ -228,6 +227,13 @@ func EncodeFull(l *psl.List, seq int) []byte {
 	buf = appendRules(buf, rules)
 	sum := sha256.Sum256(buf)
 	return append(buf, sum[:]...)
+}
+
+// canonicalRules returns a copy of l's rules in psl.CompareRules order.
+func canonicalRules(l *psl.List) []psl.Rule {
+	rules := append([]psl.Rule(nil), l.Rules()...)
+	sort.Slice(rules, func(i, j int) bool { return psl.CompareRules(rules[i], rules[j]) < 0 })
+	return rules
 }
 
 // DecodeFull parses and validates a full snapshot blob. Errors wrap

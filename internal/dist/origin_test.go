@@ -220,6 +220,9 @@ func TestOriginMetricsAndRenderCache(t *testing.T) {
 		"psl_dist_origin_renders_total",
 		"psl_dist_origin_not_modified_total",
 		"psl_dist_origin_head_seq",
+		"psl_dist_blob_requests_total",
+		"psl_dist_blob_bytes_total",
+		"psl_dist_blob_renders_total",
 	} {
 		if !strings.Contains(exp, fam) {
 			t.Errorf("exposition missing %s", fam)

@@ -1,11 +1,16 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -157,6 +162,19 @@ func TestRelayWindowEviction(t *testing.T) {
 	if _, _, err := rep.Bootstrap(context.Background(), -1); err != nil {
 		t.Fatalf("relay bootstrap: %v", err)
 	}
+	// Render every cached kind while the window is [2, 5], so the slide
+	// below has full, blob and patch entries to evict.
+	stepTo(t, o, rep, 5)
+	for _, path := range []string{fullPrefix + "2", blobPrefix + "3", patchPrefix + "2/5", patchPrefix + "4/5"} {
+		if status, _, _ := getBody(t, relaySrv.URL+path); status != http.StatusOK {
+			t.Fatalf("in-window %s status %d", path, status)
+		}
+	}
+	for name, cache := range map[string]*sync.Map{"full": &rl.fulls, "blob": &rl.blobs, "patch": &rl.patches} {
+		if n := cacheLen(cache); n == 0 {
+			t.Fatalf("%s cache empty before the window slid", name)
+		}
+	}
 	stepTo(t, o, rep, 9)
 
 	if got := rl.Retained(); got != 4 {
@@ -182,6 +200,21 @@ func TestRelayWindowEviction(t *testing.T) {
 	if status, _, _ := getBody(t, relaySrv.URL+patchPrefix+"6/9"); status != http.StatusOK {
 		t.Fatalf("retained patch status %d", status)
 	}
+	// No render cache keeps an entry below the floor.
+	for name, cache := range map[string]*sync.Map{"full": &rl.fulls, "blob": &rl.blobs, "patch": &rl.patches} {
+		cache.Range(func(k, _ any) bool {
+			if k.(span).from < m.MinSeq {
+				t.Errorf("%s cache still holds %+v below min_seq %d", name, k, m.MinSeq)
+			}
+			return true
+		})
+	}
+}
+
+func cacheLen(m *sync.Map) int {
+	n := 0
+	m.Range(func(_, _ any) bool { n++; return true })
+	return n
 }
 
 // TestRelayUnavailableBeforeFirstInstall: a relay that has verified
@@ -325,6 +358,15 @@ func TestRelayMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		`psl_dist_relay_requests_total{endpoint="manifest"} 1`,
 		`psl_dist_relay_requests_total{endpoint="full"} 1`,
+		`psl_dist_relay_bytes_total{kind="full"}`,
+		`psl_dist_relay_renders_total{kind="full"} 1`,
+		`psl_dist_relay_compactions_total 0`,
+		`psl_dist_relay_window_misses_total 0`,
+		`psl_dist_relay_unavailable_total 0`,
+		`psl_dist_relay_not_modified_total 0`,
+		`psl_dist_blob_requests_total 0`,
+		`psl_dist_blob_bytes_total 0`,
+		`psl_dist_blob_renders_total 0`,
 		`psl_dist_relay_retained_snapshots 1`,
 		`psl_dist_relay_head_seq 3`,
 		"psl_dist_replica_compact_probes_total 0",
@@ -379,5 +421,113 @@ func TestRelayChainDepthTwo(t *testing.T) {
 	}
 	if edge.state.fp != o.Chain().Fingerprint(8) {
 		t.Fatal("deep-chain fingerprint diverges from the origin chain")
+	}
+}
+
+// TestOriginRelayWireParity drives an origin at head 20 and a relay
+// following it (Retain 16, so window [5, 20]) through the same requests.
+// Every retained version must come back identically from both tiers —
+// status, ETag, Content-Type and body, compacted patches and matcher
+// blobs included — and the manifests may differ only where the tiers
+// do: min_seq, depth and published_at.
+func TestOriginRelayWireParity(t *testing.T) {
+	h := testHist(t, 40)
+	o := NewOrigin(h)
+	o.SetHead(0)
+	origin := httptest.NewServer(o)
+	defer origin.Close()
+	rl, rep, relaySrv := relayOver(t, origin.URL, 16)
+	if _, _, err := rep.Bootstrap(context.Background(), -1); err != nil {
+		t.Fatalf("relay bootstrap: %v", err)
+	}
+	stepTo(t, o, rep, 20)
+
+	type answer struct {
+		status      int
+		etag, ctype string
+		body        []byte
+	}
+	get := func(url, ifNoneMatch string) answer {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, url, nil)
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("read %s: %v", url, err)
+		}
+		return answer{resp.StatusCode, resp.Header.Get("ETag"), resp.Header.Get("Content-Type"), body}
+	}
+	same := func(path string, a, b answer) {
+		t.Helper()
+		if a.status != b.status || a.etag != b.etag || a.ctype != b.ctype || !bytes.Equal(a.body, b.body) {
+			t.Errorf("%s: origin %d %s %q %dB, relay %d %s %q %dB (bodies equal %v)", path,
+				a.status, a.etag, a.ctype, len(a.body), b.status, b.etag, b.ctype, len(b.body), bytes.Equal(a.body, b.body))
+		}
+	}
+
+	for _, path := range []string{
+		fullPrefix + "5", fullPrefix + "15", fullPrefix + "20",
+		blobPrefix + "15", blobPrefix + "20",
+		patchPrefix + "19/20", patchPrefix + "14/20", patchPrefix + "5/20",
+	} {
+		fromOrigin, fromRelay := get(origin.URL+path, ""), get(relaySrv.URL+path, "")
+		if fromOrigin.status != http.StatusOK {
+			t.Fatalf("origin %s status %d", path, fromOrigin.status)
+		}
+		same(path, fromOrigin, fromRelay)
+		if fromOrigin.etag != "" {
+			condOrigin, condRelay := get(origin.URL+path, fromOrigin.etag), get(relaySrv.URL+path, fromOrigin.etag)
+			same(path+" (conditional)", condOrigin, condRelay)
+			if condRelay.status != http.StatusNotModified {
+				t.Errorf("conditional %s status %d, want 304", path, condRelay.status)
+			}
+		}
+	}
+	if rl.Compactions() != 2 {
+		t.Errorf("Compactions = %d, want 2 (14/20 and 5/20)", rl.Compactions())
+	}
+
+	mo, mr := get(origin.URL+ManifestPath, ""), get(relaySrv.URL+ManifestPath, "")
+	if mo.status != http.StatusOK || mr.status != http.StatusOK || mo.etag != mr.etag || mo.ctype != mr.ctype {
+		t.Fatalf("manifest: origin %d %s %q, relay %d %s %q", mo.status, mo.etag, mo.ctype, mr.status, mr.etag, mr.ctype)
+	}
+	var om, rm Manifest
+	if err := json.Unmarshal(mo.body, &om); err != nil {
+		t.Fatalf("origin manifest: %v", err)
+	}
+	if err := json.Unmarshal(mr.body, &rm); err != nil {
+		t.Fatalf("relay manifest: %v", err)
+	}
+	if om.MinSeq != 0 || rm.MinSeq != 5 || om.Depth != 0 || rm.Depth != 1 {
+		t.Errorf("min_seq/depth: origin %d/%d, relay %d/%d; want 0/0 and 5/1", om.MinSeq, om.Depth, rm.MinSeq, rm.Depth)
+	}
+	for _, m := range []*Manifest{&om, &rm} {
+		m.MinSeq, m.Depth, m.PublishedAt = 0, 0, time.Time{}
+	}
+	if om != rm {
+		t.Errorf("manifests differ beyond min_seq/depth/published_at:\norigin %+v\nrelay  %+v", om, rm)
+	}
+	same("manifest (conditional)", get(origin.URL+ManifestPath, mo.etag), get(relaySrv.URL+ManifestPath, mo.etag))
+
+	// Below the relay's window: the origin still serves, the relay 404s
+	// and counts a miss.
+	misses := rl.Misses()
+	for _, path := range []string{fullPrefix + "4", blobPrefix + "4", patchPrefix + "4/20"} {
+		if s := get(origin.URL+path, "").status; s != http.StatusOK {
+			t.Errorf("origin %s status %d, want 200", path, s)
+		}
+		if s := get(relaySrv.URL+path, "").status; s != http.StatusNotFound {
+			t.Errorf("relay %s status %d, want 404", path, s)
+		}
+	}
+	if got := rl.Misses() - misses; got != 3 {
+		t.Errorf("Misses rose by %d, want 3", got)
 	}
 }
