@@ -22,7 +22,7 @@ perfbench-check:
 	cd perfbench && go vet . && go test -count=1 .
 
 race:
-	go test -race ./internal/psl/ ./internal/serve/ ./internal/obs/ ./internal/experiments/ ./internal/dist/ ./internal/resilience/ ./internal/failpoint/ ./internal/chaos/ ./internal/fleet/
+	go test -race ./internal/psl/ ./internal/serve/ ./internal/obs/ ./internal/experiments/ ./internal/dist/ ./internal/resilience/ ./internal/failpoint/ ./internal/chaos/ ./internal/fleet/ ./internal/submit/ ./internal/torture/
 
 # The full chaos replay: origin behind the net.origin failpoint ->
 # replica, six wire fault kinds, crash-restart, goroutine-leak

@@ -523,9 +523,9 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 			Ring:           plane.ring,
 			Journal:        plane.journal,
 		})
-		// The relay claims the replica's OnVerified hook, so it must be
-		// built before Bootstrap runs — the bootstrap snapshot is the
-		// relay's first servable window entry.
+		// The replica feeds the relay's window, so the relay must be built
+		// before RestoreState or Bootstrap runs — the restored or
+		// bootstrap snapshot is the relay's first servable window entry.
 		var rl *dist.Relay
 		if cfg.relay {
 			rl = dist.NewRelay(rep, dist.RelayOptions{Retain: cfg.retain})
@@ -550,11 +550,6 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 			if err != nil {
 				return err
 			}
-		} else if rl != nil {
-			// RestoreState bypasses the verified-install path, so the
-			// relay window is seeded explicitly from the trusted local
-			// snapshot.
-			rl.Seed(l, seq)
 		}
 		// The blob-fed fast path: reuse the persisted matcher blob (a
 		// restart pays zero compiles), else fetch the origin-compiled

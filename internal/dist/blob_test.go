@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/psl"
 	"repro/internal/resilience"
 	"repro/internal/serve"
@@ -298,6 +299,31 @@ func TestCorruptBlobFallsBack(t *testing.T) {
 	}
 }
 
+// TestBlobFetchTraceCarriesError: a failed blob fetch is retained in
+// the trace ring with its status and error text, like every other
+// upstream exchange — not as a clean record with an empty Err.
+func TestBlobFetchTraceCarriesError(t *testing.T) {
+	ts := httptest.NewServer(http.NotFoundHandler())
+	defer ts.Close()
+	opts := fastOpts()
+	opts.Ring = obs.NewTraceRing(16, 0)
+	rep := NewReplica(ts.URL, opts)
+	if pm := rep.FetchMatcherBlob(context.Background(), 3, "unused"); pm != nil {
+		t.Fatal("404 upstream yielded a matcher")
+	}
+	recs := opts.Ring.Recent()
+	if len(recs) != 1 {
+		t.Fatalf("%d trace records, want 1", len(recs))
+	}
+	if rec := recs[0]; rec.Path != blobPrefix+"3" || rec.Status != http.StatusNotFound || rec.Err == "" {
+		t.Fatalf("blob trace record path %q status %d err %q, want %s3 / 404 / non-empty",
+			rec.Path, rec.Status, rec.Err, blobPrefix)
+	}
+	if rep.BlobMisses() != 1 {
+		t.Fatalf("BlobMisses = %d, want 1", rep.BlobMisses())
+	}
+}
+
 // TestBlobAbsenceIsQuiet points a blob-fetching replica at an upstream
 // that predates the endpoint entirely: installs proceed, misses are
 // counted, and — critically — the 404s never feed the circuit breaker.
@@ -317,7 +343,6 @@ func TestBlobAbsenceIsQuiet(t *testing.T) {
 
 	opts := fastOpts()
 	opts.FetchBlobs = true
-	opts.BreakerThreshold = 2 // would trip almost immediately if misses counted
 	rep := NewReplica(old.URL, opts)
 	ctx := context.Background()
 	l, seq, err := rep.Bootstrap(ctx, -1)
@@ -328,17 +353,19 @@ func TestBlobAbsenceIsQuiet(t *testing.T) {
 	rep.OnInstall = func(l *psl.List, seq int, fp string, m psl.Matcher) {
 		svc.SwapVerified(l, seq, fp, m)
 	}
-	for _, head := range []int{4, 7, 9} {
+	// One blob miss per install, more of them than breakerThreshold.
+	final := breakerThreshold + 4
+	for head := 2; head <= final; head++ {
 		o.SetHead(head)
 		if err := rep.Poll(ctx); err != nil {
 			t.Fatalf("Poll to %d: %v", head, err)
 		}
 	}
-	if cur := svc.Current(); cur.Seq != 9 {
-		t.Fatalf("service at seq %d, want 9", cur.Seq)
+	if cur := svc.Current(); cur.Seq != final {
+		t.Fatalf("service at seq %d, want %d", cur.Seq, final)
 	}
-	if rep.BlobMisses() == 0 {
-		t.Fatalf("no blob misses recorded")
+	if n := rep.BlobMisses(); n <= breakerThreshold {
+		t.Fatalf("%d blob misses recorded, want more than breakerThreshold %d", n, breakerThreshold)
 	}
 	if rep.Breaker().State() != resilience.BreakerClosed {
 		t.Fatalf("blob 404s tripped the breaker")

@@ -59,7 +59,6 @@ func TestChaosE2EReplication(t *testing.T) {
 		BackoffBase:    time.Millisecond,
 		BackoffMax:     20 * time.Millisecond,
 		MaxHop:         16,
-		MaxAttempts:    3,
 		BreakerOpenFor: 10 * time.Millisecond,
 		StateDir:       stateDir,
 		Seed:           11,
@@ -75,7 +74,7 @@ func TestChaosE2EReplication(t *testing.T) {
 	svc := serve.New(l, seq, serve.Options{})
 	var swapMu sync.Mutex
 	var badSwaps []string
-	verifiedSwap := func(l *psl.List, seq int) {
+	verifiedSwap := func(l *psl.List, seq int, _ string, _ psl.Matcher) {
 		if got, want := l.Fingerprint(), origin.Chain().Fingerprint(seq); got != want {
 			swapMu.Lock()
 			badSwaps = append(badSwaps, fmt.Sprintf("seq %d: %s != chain %s", seq, got, want))
@@ -83,7 +82,7 @@ func TestChaosE2EReplication(t *testing.T) {
 		}
 		svc.Swap(l, seq)
 	}
-	rep.OnSwap = verifiedSwap
+	rep.OnInstall = verifiedSwap
 	runDone := make(chan struct{})
 	go func() { defer close(runDone); rep.Run(ctx) }()
 
@@ -190,7 +189,7 @@ func TestChaosE2EReplication(t *testing.T) {
 	if got, want := restoredList.Fingerprint(), origin.Chain().Fingerprint(restoredSeq); got != want {
 		t.Fatalf("restored fingerprint %s, chain says %s", got, want)
 	}
-	rep2.OnSwap = verifiedSwap
+	rep2.OnInstall = verifiedSwap
 	origin.SetHead(h.Len() - 1)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel2()

@@ -122,7 +122,7 @@ func TestE2EReplicationFullHistory(t *testing.T) {
 		t.Fatalf("bootstrap landed on %d, want 0", seq)
 	}
 	svc := serve.New(l, seq, serve.Options{})
-	rep.OnSwap = func(l *psl.List, seq int) { svc.Swap(l, seq) }
+	rep.OnInstall = func(l *psl.List, seq int, _ string, _ psl.Matcher) { svc.Swap(l, seq) }
 	runDone := make(chan struct{})
 	go func() { defer close(runDone); rep.Run(ctx) }()
 
@@ -201,7 +201,7 @@ func TestE2EReplicationWithFailureInjection(t *testing.T) {
 
 	var swapMu sync.Mutex
 	var badSwaps []string
-	rep.OnSwap = func(l *psl.List, seq int) {
+	rep.OnInstall = func(l *psl.List, seq int, _ string, _ psl.Matcher) {
 		if got, want := l.Fingerprint(), origin.Chain().Fingerprint(seq); got != want {
 			swapMu.Lock()
 			badSwaps = append(badSwaps, fmt.Sprintf("seq %d: %s != chain %s", seq, got, want))

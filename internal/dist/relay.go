@@ -68,19 +68,14 @@ type Relay struct {
 	compactions, misses, unavailable obs.Counter // beside the server's own
 }
 
-// NewRelay builds a relay over rep, claiming rep.OnVerified to feed the
-// snapshot window (an already-set hook still runs, after the relay's).
-// Call before rep starts Bootstrap or Run.
+// NewRelay builds a relay over rep. The replica feeds the snapshot
+// window itself — every verified install and a RestoreState — before
+// its hooks run, so the hooks stay free for the caller. Call before rep
+// starts RestoreState, Bootstrap or Run.
 func NewRelay(rep *Replica, opts RelayOptions) *Relay {
 	rl := &Relay{server: server{journal: rep.opts.Journal}, rep: rep, opts: opts.withDefaults()}
 	rl.src = rl
-	prev := rep.OnVerified
-	rep.OnVerified = func(l *psl.List, seq int, fp string) {
-		rl.push(relaySnap{list: l, seq: seq, fp: fp})
-		if prev != nil {
-			prev(l, seq, fp)
-		}
-	}
+	rep.relay = rl
 	return rl
 }
 
@@ -88,10 +83,11 @@ func NewRelay(rep *Replica, opts RelayOptions) *Relay {
 // health, and metrics registration).
 func (rl *Relay) Replica() *Replica { return rl.rep }
 
-// Seed installs a trusted local snapshot (e.g. restored state) into the
-// serving window. RestoreState and SetState do not pass through the
-// verified-install path, so a relay resuming from disk calls this to
-// become servable before its first upstream sync.
+// Seed installs a trusted local snapshot into the serving window,
+// fingerprint computed locally. The replica already feeds the window
+// from every verified install and from RestoreState; Seed is for a
+// snapshot that arrived some other way (SetState, or a test building a
+// window directly).
 func (rl *Relay) Seed(l *psl.List, seq int) {
 	rl.push(relaySnap{list: l, seq: seq, fp: l.Fingerprint()})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/psl"
 )
 
 // relayOver builds a relay following the given upstream URL, bootstraps
@@ -259,6 +261,77 @@ func TestRelaySeedRestoresServing(t *testing.T) {
 	}
 	if m.Fingerprint != h.ListAt(4).Fingerprint() {
 		t.Fatal("seeded fingerprint mismatch")
+	}
+}
+
+// relaySeqs lists the seqs in the relay's window, ascending.
+func relaySeqs(rl *Relay) []int {
+	rl.mu.RLock()
+	defer rl.mu.RUnlock()
+	var seqs []int
+	for _, s := range rl.ring {
+		seqs = append(seqs, s.seq)
+	}
+	return seqs
+}
+
+// TestRelayFedWhateverOnVerifiedHolds: the replica feeds its relay
+// directly, so an OnVerified hook assigned after NewRelay neither
+// disconnects the relay nor is shadowed by it — both see every
+// verified install, Bootstrap's included.
+func TestRelayFedWhateverOnVerifiedHolds(t *testing.T) {
+	h := testHist(t, 10)
+	o := NewOrigin(h)
+	o.SetHead(3)
+	origin := httptest.NewServer(o)
+	defer origin.Close()
+
+	rl, rep, _ := relayOver(t, origin.URL, 16)
+	var hooked []int
+	rep.OnVerified = func(_ *psl.List, seq int, _ string) { hooked = append(hooked, seq) }
+	ctx := context.Background()
+	if _, _, err := rep.Bootstrap(ctx, -1); err != nil {
+		t.Fatalf("relay bootstrap: %v", err)
+	}
+	o.SetHead(5)
+	if err := rep.Poll(ctx); err != nil {
+		t.Fatalf("relay poll to 5: %v", err)
+	}
+	if fmt.Sprint(hooked) != "[3 5]" {
+		t.Fatalf("OnVerified saw %v, want [3 5]", hooked)
+	}
+	if got := relaySeqs(rl); fmt.Sprint(got) != "[3 5]" {
+		t.Fatalf("relay window %v, want [3 5]", got)
+	}
+	if rl.Retained() != 2 {
+		t.Fatalf("Retained = %d, want 2", rl.Retained())
+	}
+	if m, ok := rl.Manifest(); !ok || m.Seq != 5 || m.MinSeq != 3 {
+		t.Fatalf("relay manifest %+v ok=%v, want seq 5 min 3", m, ok)
+	}
+}
+
+// TestRelayFedByRestoreState: a relay over a replica that resumes from
+// its StateDir serves the restored snapshot without any Seed call.
+func TestRelayFedByRestoreState(t *testing.T) {
+	h := testHist(t, 10)
+	dir := t.TempDir()
+	if err := SaveState(dir, h.ListAt(6), 6); err != nil {
+		t.Fatalf("SaveState: %v", err)
+	}
+	opts := fastOpts()
+	opts.StateDir = dir
+	rep := NewReplica("http://unused.invalid", opts)
+	rl := NewRelay(rep, RelayOptions{})
+	if _, seq, err := rep.RestoreState(); err != nil || seq != 6 {
+		t.Fatalf("RestoreState = seq %d, %v; want 6", seq, err)
+	}
+	m, ok := rl.Manifest()
+	if !ok {
+		t.Fatal("relay over a restored replica has no manifest")
+	}
+	if m.Seq != 6 || m.Fingerprint != h.ListAt(6).Fingerprint() {
+		t.Fatalf("relay manifest seq %d fp %s, want 6 / restored fingerprint", m.Seq, m.Fingerprint)
 	}
 }
 

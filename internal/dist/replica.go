@@ -21,6 +21,25 @@ import (
 // the full 9.4k-rule list encodes to ~170KB, so 16MB is generous.
 const maxBlobBytes = 16 << 20
 
+// Fixed replication policy.
+const (
+	// maxAttempts consecutive failed hop attempts trigger the compaction
+	// probe and then the full-blob fallback.
+	maxAttempts = 4
+	// breakerThreshold consecutive transport-level failures open the
+	// origin circuit breaker. Only transport failures count — a corrupt
+	// blob delivered with a 200 is the origin lying, not the wire being
+	// down, and must not block the full-sync recovery path.
+	breakerThreshold = 5
+	// retryBudget and retryDeposit shape the token-bucket retry budget:
+	// every retry spends one token, every successful transfer earns
+	// retryDeposit (capped at retryBudget). An exhausted budget ends the
+	// cycle instead of hammering a struggling origin; the next poll
+	// starts fresh.
+	retryBudget  = 16
+	retryDeposit = 0.5
+)
+
 // ReplicaOptions tunes a Replica. Zero values get defaults.
 type ReplicaOptions struct {
 	// Client performs the HTTP requests. Default: a client with a
@@ -41,25 +60,10 @@ type ReplicaOptions struct {
 	// MaxHop caps how many versions one patch spans; catching up from
 	// far behind takes several hops. Default 64.
 	MaxHop int
-	// MaxAttempts is how many consecutive failed hop attempts trigger
-	// the full-blob fallback. Default 4.
-	MaxAttempts int
-	// BreakerThreshold and BreakerOpenFor tune the circuit breaker in
-	// front of the origin: after BreakerThreshold consecutive
-	// transport-level failures the replica fails fast for BreakerOpenFor
-	// before probing again. Only transport failures count — a corrupt
-	// blob delivered with a 200 is the origin lying, not the wire being
-	// down, and must not block the full-sync recovery path. Defaults 5
-	// and 1s.
-	BreakerThreshold int
-	BreakerOpenFor   time.Duration
-	// RetryBudget and RetryDeposit tune the token-bucket retry budget:
-	// every retry spends one token, every successful transfer earns
-	// RetryDeposit (capped at RetryBudget). An exhausted budget ends the
-	// cycle instead of hammering a struggling origin; the next poll
-	// starts fresh. Defaults 16 and 0.5.
-	RetryBudget  float64
-	RetryDeposit float64
+	// BreakerOpenFor is how long the origin circuit breaker fails fast
+	// once breakerThreshold consecutive transport failures have opened
+	// it, before probing again. Default 1s.
+	BreakerOpenFor time.Duration
 	// StateDir, when non-empty, durably persists every verified snapshot
 	// (write-temp → fsync → atomic-rename, see SaveState) so a restarted
 	// replica can resume from its last verified seq via RestoreState
@@ -113,20 +117,8 @@ func (o ReplicaOptions) withDefaults() ReplicaOptions {
 	if o.MaxHop <= 0 {
 		o.MaxHop = 64
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 4
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
 	if o.BreakerOpenFor <= 0 {
 		o.BreakerOpenFor = time.Second
-	}
-	if o.RetryBudget <= 0 {
-		o.RetryBudget = 16
-	}
-	if o.RetryDeposit <= 0 {
-		o.RetryDeposit = 0.5
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -145,9 +137,10 @@ type replicaState struct {
 // short-circuiting), pulls patch chains toward the advertised head,
 // verifies the fingerprint at every hop, and falls back to a full-blob
 // sync after repeated failures (broken chain, verification mismatch, or
-// transport errors alike). Every list handed to OnSwap has had its
-// fingerprint verified against the blob that produced it — a replica
-// never swaps in a list the origin didn't cryptographically promise.
+// transport errors alike). Every list handed to OnVerified or OnInstall
+// has had its fingerprint verified against the blob that produced it — a
+// replica never swaps in a list the origin didn't cryptographically
+// promise.
 //
 // Failure handling is built from the shared resilience primitives: a
 // circuit breaker on transport errors, a token-bucket retry budget, and
@@ -161,32 +154,28 @@ type Replica struct {
 	origin string
 	opts   ReplicaOptions
 
-	// OnSwap, if set, is invoked after each verified snapshot install
-	// (not for Bootstrap, whose result the caller installs). Set before
-	// calling Run.
-	OnSwap func(l *psl.List, seq int)
-
 	// OnVerified, if set, is invoked for every verified install —
 	// including the one Bootstrap performs — with the fingerprint the
-	// blob was verified against. It runs before OnSwap; relays use it to
-	// extend their retained snapshot window without recomputing the
-	// fingerprint. Set before calling Bootstrap or Run.
+	// blob was verified against. Set before calling Bootstrap or Run.
 	OnVerified func(l *psl.List, seq int, fp string)
 
-	// OnInstall, if set, supersedes OnSwap as the serving-layer hook
-	// (not for Bootstrap, whose result the caller installs): it carries
-	// the verified fingerprint and, with FetchBlobs, the upstream's
-	// pre-compiled matcher for the version — nil when the blob was
-	// absent or failed verification, in which case the consumer compiles
-	// (or reuses, when the fingerprint is unchanged) locally. It runs
-	// after OnVerified and before OnSwap. Set before calling Run.
+	// OnInstall, if set, is the serving-layer hook (not for Bootstrap,
+	// whose result the caller installs): it carries the verified
+	// fingerprint and, with FetchBlobs, the upstream's pre-compiled
+	// matcher for the version — nil when the blob was absent or failed
+	// verification, in which case the consumer compiles (or reuses, when
+	// the fingerprint is unchanged) locally. It runs after OnVerified.
+	// Set before calling Run.
 	OnInstall func(l *psl.List, seq int, fp string, m psl.Matcher)
+
+	// relay, set by NewRelay, receives every verified or restored
+	// snapshot into its serving window before the hooks run.
+	relay *Relay
 
 	state        replicaState
 	curSeq       atomic.Int64
 	headSeq      atomic.Int64
 	manifestETag string
-	headFP       string
 	minSeq       int // oldest seq the upstream can serve patches from
 	depth        atomic.Int32
 
@@ -238,8 +227,8 @@ func NewReplica(origin string, opts ReplicaOptions) *Replica {
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		backoff:  resilience.NewBackoff(opts.BackoffBase, opts.BackoffMax, opts.Seed),
-		breaker:  resilience.NewBreaker(resilience.BreakerOptions{FailureThreshold: opts.BreakerThreshold, OpenFor: opts.BreakerOpenFor}),
-		budget:   resilience.NewBudget(opts.RetryBudget, opts.RetryDeposit),
+		breaker:  resilience.NewBreaker(resilience.BreakerOptions{FailureThreshold: breakerThreshold, OpenFor: opts.BreakerOpenFor}),
+		budget:   resilience.NewBudget(retryBudget, retryDeposit),
 		applyDur: obs.NewHistogram(nil),
 	}
 	if opts.FS != nil {
@@ -262,8 +251,9 @@ func (r *Replica) SetState(l *psl.List, seq int) {
 
 // RestoreState loads the snapshot persisted in StateDir (checksum and
 // fingerprint verified) and installs it as the replica's starting
-// point, without invoking OnSwap. A missing state file surfaces as
-// fs.ErrNotExist so callers can fall back to Bootstrap.
+// point, without invoking the hooks; a relay built over the replica
+// gets it as its first servable window entry. A missing state file
+// surfaces as fs.ErrNotExist so callers can fall back to Bootstrap.
 func (r *Replica) RestoreState() (*psl.List, int, error) {
 	if r.opts.StateDir == "" {
 		return nil, 0, fmt.Errorf("dist: RestoreState without a StateDir")
@@ -273,6 +263,9 @@ func (r *Replica) RestoreState() (*psl.List, int, error) {
 		return nil, 0, err
 	}
 	r.SetState(l, seq)
+	if r.relay != nil {
+		r.relay.push(relaySnap{list: l, seq: seq, fp: r.state.fp})
+	}
 	return l, seq, nil
 }
 
@@ -387,13 +380,11 @@ func (r *Replica) RegisterMetrics(reg *obs.Registry) {
 	r.budget.RegisterMetrics(reg, "dist_replica")
 }
 
-// get fetches one dist path, enforcing the body size cap. A non-2xx
-// status, oversized body, or transport error (including mid-body
-// truncation) is returned as an error. Every exchange runs under the
-// origin circuit breaker — an open circuit fails fast with ErrOpen —
-// and under RequestTimeout, propagated to the origin via the deadline
-// header. Transport-level outcomes feed the breaker; successful
-// transfers (including 304s) also replenish the retry budget.
+// get fetches one dist path through do under the origin circuit
+// breaker — an open circuit fails fast with ErrOpen — and retains the
+// exchange in the trace ring. Every outcome of do is transport-level and
+// feeds the breaker; successful transfers (including 304s) also
+// replenish the retry budget.
 func (r *Replica) get(ctx context.Context, path, etag string) (body []byte, gotETag string, status int, err error) {
 	ct := r.requestTrace(ctx)
 	defer func() { r.recordClientTrace(ct, path, status, int64(len(body)), err) }()
@@ -401,11 +392,24 @@ func (r *Replica) get(ctx context.Context, path, etag string) (body []byte, gotE
 	if !ok {
 		return nil, "", 0, fmt.Errorf("dist: GET %s: %w", path, resilience.ErrOpen)
 	}
+	body, gotETag, status, err = r.do(ctx, ct, path, etag)
+	r.breaker.Record(gen, err)
+	if err == nil {
+		r.budget.OnSuccess()
+	}
+	return body, gotETag, status, err
+}
+
+// do performs one upstream GET carrying trace ct, conditional on etag
+// when non-empty, under RequestTimeout — propagated to the upstream via
+// the deadline header. A 304 returns no body and the caller's etag. A
+// status other than 200 or 304, a body over maxBlobBytes, or a transport
+// error (including mid-body truncation) is returned as an error.
+func (r *Replica) do(ctx context.Context, ct *obs.Trace, path, etag string) ([]byte, string, int, error) {
 	ctx, cancel := context.WithTimeout(ctx, r.opts.RequestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.origin+path, nil)
 	if err != nil {
-		r.breaker.Record(gen, err)
 		return nil, "", 0, err
 	}
 	if etag != "" {
@@ -415,35 +419,25 @@ func (r *Replica) get(ctx context.Context, path, etag string) (body []byte, gotE
 	resilience.PropagateDeadline(req)
 	resp, err := r.opts.Client.Do(req)
 	if err != nil {
-		r.breaker.Record(gen, err)
 		return nil, "", 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotModified {
-		r.breaker.Record(gen, nil)
-		r.budget.OnSuccess()
+	switch resp.StatusCode {
+	case http.StatusNotModified:
 		return nil, etag, resp.StatusCode, nil
-	}
-	if resp.StatusCode != http.StatusOK {
+	case http.StatusOK:
+	default:
 		// Drain a little so the connection can be reused, then fail.
 		_, _ = io.CopyN(io.Discard, resp.Body, 4096)
-		err = fmt.Errorf("dist: GET %s: status %d", path, resp.StatusCode)
-		r.breaker.Record(gen, err)
-		return nil, "", resp.StatusCode, err
+		return nil, "", resp.StatusCode, fmt.Errorf("dist: GET %s: status %d", path, resp.StatusCode)
 	}
-	body, err = io.ReadAll(io.LimitReader(resp.Body, maxBlobBytes+1))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBlobBytes+1))
 	if err != nil {
-		err = fmt.Errorf("dist: GET %s: %w", path, err)
-		r.breaker.Record(gen, err)
-		return nil, "", resp.StatusCode, err
+		return nil, "", resp.StatusCode, fmt.Errorf("dist: GET %s: %w", path, err)
 	}
 	if len(body) > maxBlobBytes {
-		err = fmt.Errorf("dist: GET %s: body exceeds %d bytes", path, maxBlobBytes)
-		r.breaker.Record(gen, err)
-		return nil, "", resp.StatusCode, err
+		return nil, "", resp.StatusCode, fmt.Errorf("dist: GET %s: body exceeds %d bytes", path, maxBlobBytes)
 	}
-	r.breaker.Record(gen, nil)
-	r.budget.OnSuccess()
 	return body, resp.Header.Get("ETag"), resp.StatusCode, nil
 }
 
@@ -500,37 +494,9 @@ func (r *Replica) recordClientTrace(ct *obs.Trace, path string, status int, byte
 func (r *Replica) FetchMatcherBlob(ctx context.Context, seq int, fp string) *psl.PackedMatcher {
 	path := fmt.Sprintf("%s%d", blobPrefix, seq)
 	ct := r.requestTrace(ctx)
-	var status int
-	var got int64
-	var terr error
-	defer func() { r.recordClientTrace(ct, path, status, got, terr) }()
-	ctx, cancel := context.WithTimeout(ctx, r.opts.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.origin+path, nil)
-	if err != nil {
-		terr = err
-		r.blobMisses.Add(1)
-		return nil
-	}
-	obs.InjectTrace(req, ct)
-	resilience.PropagateDeadline(req)
-	resp, err := r.opts.Client.Do(req)
-	if err != nil {
-		terr = err
-		r.blobMisses.Add(1)
-		return nil
-	}
-	defer resp.Body.Close()
-	status = resp.StatusCode
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.CopyN(io.Discard, resp.Body, 4096)
-		r.blobMisses.Add(1)
-		return nil
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBlobBytes+1))
-	got = int64(len(body))
-	if err != nil || len(body) > maxBlobBytes {
-		terr = err
+	body, _, status, err := r.do(ctx, ct, path, "")
+	r.recordClientTrace(ct, path, status, int64(len(body)), err)
+	if err != nil || status != http.StatusOK {
 		r.blobMisses.Add(1)
 		return nil
 	}
@@ -553,9 +519,10 @@ func (r *Replica) FetchMatcherBlob(ctx context.Context, seq int, fp string) *psl
 // Poll performs one replication cycle: refresh the manifest, then chase
 // the head if behind. Transfer errors inside the cycle are retried —
 // budget permitting — with the shared jittered backoff and, after
-// MaxAttempts consecutive failures of a hop, a full-blob fallback; Poll
-// only returns an error once the cycle cannot make progress (or ctx
-// ends). A cycle that ends cleanly resets the backoff schedule.
+// maxAttempts consecutive failures of a hop, a compaction probe and a
+// full-blob fallback (see syncToHead); Poll only returns an error once
+// the cycle cannot make progress (or ctx ends). A cycle that ends
+// cleanly resets the backoff schedule.
 func (r *Replica) Poll(ctx context.Context) error {
 	r.polls.Add(1)
 	if obs.TraceFrom(ctx) == nil {
@@ -575,12 +542,8 @@ func (r *Replica) Poll(ctx context.Context) error {
 			r.pollErrors.Add(1)
 			return err
 		}
-		r.manifestETag = etag
-		r.headFP = m.Fingerprint
-		r.minSeq = m.MinSeq
-		r.depth.Store(int32(m.Depth))
-		r.headSeq.Store(int64(m.Seq))
 		r.notePublished(m)
+		r.adopt(m, etag)
 	}
 	if err := r.syncToHead(ctx); err != nil {
 		r.pollErrors.Add(1)
@@ -588,6 +551,16 @@ func (r *Replica) Poll(ctx context.Context) error {
 	}
 	r.backoff.Reset()
 	return nil
+}
+
+// adopt records a decoded manifest as the replica's view of the
+// upstream: its ETag for the next conditional poll, the head to chase,
+// the patch retention floor, and the upstream's depth.
+func (r *Replica) adopt(m Manifest, etag string) {
+	r.manifestETag = etag
+	r.minSeq = m.MinSeq
+	r.depth.Store(int32(m.Depth))
+	r.headSeq.Store(int64(m.Seq))
 }
 
 // maxPubTimes bounds the publish-time memory; heads arrive one at a
@@ -635,7 +608,7 @@ func (r *Replica) PublishedAt(seq int) (time.Time, bool) {
 // the fallback ladder when hops fail:
 //
 //  1. bounded hops: patch cur→min(cur+MaxHop, head), chained;
-//  2. compaction probe: after MaxAttempts failed hops, one request for
+//  2. compaction probe: after maxAttempts failed hops, one request for
 //     the single compacted patch cur→head. A relay that evicted the
 //     intermediate versions a hop chain needs can still coalesce
 //     everything it retains into one delta, and even a patch spanning
@@ -662,8 +635,8 @@ func (r *Replica) syncToHead(ctx context.Context) error {
 			var err error
 			switch {
 			case r.state.list == nil || r.state.seq < r.minSeq:
-				err = r.fullSync(ctx, head)
-			case attempts < r.opts.MaxAttempts:
+				err = r.fullSync(ctx, head, true)
+			case attempts < maxAttempts:
 				to := min(r.state.seq+r.opts.MaxHop, head)
 				err = r.applyHop(ctx, r.state.seq, to)
 			case !probed && head > r.state.seq+r.opts.MaxHop:
@@ -678,14 +651,14 @@ func (r *Replica) syncToHead(ctx context.Context) error {
 				}
 			default:
 				r.fallbacks.Add(1)
-				err = r.fullSync(ctx, head)
+				err = r.fullSync(ctx, head, true)
 			}
 			if err == nil {
 				r.backoff.Reset()
 				break
 			}
 			attempts++
-			if attempts > 2*r.opts.MaxAttempts+1 {
+			if attempts > 2*maxAttempts+1 {
 				return fmt.Errorf("dist: giving up after %d attempts: %w", attempts, err)
 			}
 			if !r.budget.Withdraw() {
@@ -729,13 +702,14 @@ func (r *Replica) applyHop(ctx context.Context, cur, to int) error {
 	r.patchBytes.Add(uint64(len(body)))
 	r.applied.Add(1)
 	r.opts.Journal.Record(p.ToSeq, obs.StageVerified)
-	r.install(ctx, l, p.ToSeq, p.ToFP)
+	r.install(ctx, l, p.ToSeq, p.ToFP, true)
 	return nil
 }
 
 // fullSync replaces the replica's state with the origin's full blob of
-// version seq, the recovery path when patching cannot proceed.
-func (r *Replica) fullSync(ctx context.Context, seq int) error {
+// version seq, the recovery path when patching cannot proceed. serving
+// is passed through to install.
+func (r *Replica) fullSync(ctx context.Context, seq int, serving bool) error {
 	body, _, _, err := r.get(ctx, fmt.Sprintf("%s%d", fullPrefix, seq), "")
 	if err != nil {
 		return err
@@ -760,17 +734,18 @@ func (r *Replica) fullSync(ctx context.Context, seq int) error {
 	r.fullBytes.Add(uint64(len(body)))
 	r.fullSyncs.Add(1)
 	r.opts.Journal.Record(f.Seq, obs.StageVerified)
-	r.install(ctx, l, f.Seq, f.FP)
+	r.install(ctx, l, f.Seq, f.FP, serving)
 	return nil
 }
 
 // install publishes a verified snapshot: persist (when configured),
-// then callbacks, then the atomics that feed Lag. A persistence failure
-// is counted but never blocks the swap — serving fresh data beats
-// durability. When FetchBlobs is on and an OnInstall consumer is
-// wired, the upstream's pre-compiled matcher is fetched (best-effort,
-// fully verified, breaker-free) between the relay hook and the swap.
-func (r *Replica) install(ctx context.Context, l *psl.List, seq int, fp string) {
+// then the relay window and hooks, then the atomics that feed Lag. A
+// persistence failure is counted but never blocks the swap — serving
+// fresh data beats durability. OnInstall runs only when serving (every
+// install but Bootstrap's); with FetchBlobs the upstream's pre-compiled
+// matcher is fetched for it first (best-effort, fully verified,
+// breaker-free).
+func (r *Replica) install(ctx context.Context, l *psl.List, seq int, fp string, serving bool) {
 	r.state = replicaState{list: l, seq: seq, fp: fp}
 	if r.opts.StateDir != "" {
 		if err := SaveStateFS(r.stateFS, r.opts.StateDir, l, seq); err != nil {
@@ -779,10 +754,13 @@ func (r *Replica) install(ctx context.Context, l *psl.List, seq int, fp string) 
 			r.persisted.Add(1)
 		}
 	}
+	if r.relay != nil {
+		r.relay.push(relaySnap{list: l, seq: seq, fp: fp})
+	}
 	if r.OnVerified != nil {
 		r.OnVerified(l, seq, fp)
 	}
-	if r.OnInstall != nil {
+	if serving && r.OnInstall != nil {
 		var m psl.Matcher
 		if r.opts.FetchBlobs {
 			if pm := r.FetchMatcherBlob(ctx, seq, fp); pm != nil {
@@ -791,16 +769,13 @@ func (r *Replica) install(ctx context.Context, l *psl.List, seq int, fp string) 
 		}
 		r.OnInstall(l, seq, fp, m)
 	}
-	if r.OnSwap != nil {
-		r.OnSwap(l, seq)
-	}
 	r.curSeq.Store(int64(seq))
 	r.opts.Journal.Record(seq, obs.StageInstalled)
 }
 
 // Bootstrap fetches the manifest and performs an initial full-blob sync
 // of fromSeq (or the advertised head when fromSeq < 0), returning the
-// verified list without invoking OnSwap: the caller typically builds
+// verified list without invoking OnInstall: the caller typically builds
 // its serving state from the return value. One attempt; callers retry.
 func (r *Replica) Bootstrap(ctx context.Context, fromSeq int) (*psl.List, int, error) {
 	r.polls.Add(1)
@@ -825,19 +800,11 @@ func (r *Replica) Bootstrap(ctx context.Context, fromSeq int) (*psl.List, int, e
 	if seq < m.MinSeq {
 		seq = m.MinSeq
 	}
-	onSwap, onInstall := r.OnSwap, r.OnInstall
-	r.OnSwap, r.OnInstall = nil, nil
-	err = r.fullSync(ctx, seq)
-	r.OnSwap, r.OnInstall = onSwap, onInstall
-	if err != nil {
+	if err := r.fullSync(ctx, seq, false); err != nil {
 		r.pollErrors.Add(1)
 		return nil, 0, err
 	}
-	r.manifestETag = etag
-	r.headFP = m.Fingerprint
-	r.minSeq = m.MinSeq
-	r.depth.Store(int32(m.Depth))
-	r.headSeq.Store(int64(m.Seq))
+	r.adopt(m, etag)
 	return r.state.list, r.state.seq, nil
 }
 

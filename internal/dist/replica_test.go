@@ -41,7 +41,6 @@ func fastOpts() ReplicaOptions {
 		BackoffBase:    time.Millisecond,
 		BackoffMax:     20 * time.Millisecond,
 		MaxHop:         16,
-		MaxAttempts:    3,
 		BreakerOpenFor: 10 * time.Millisecond,
 		Seed:           7,
 	}
@@ -69,7 +68,7 @@ func TestReplicaBootstrapAndFollow(t *testing.T) {
 	}
 
 	var swaps []int
-	rep.OnSwap = func(_ *psl.List, seq int) { swaps = append(swaps, seq) }
+	rep.OnInstall = func(_ *psl.List, seq int, _ string, _ psl.Matcher) { swaps = append(swaps, seq) }
 	if err := rep.Poll(ctx); err != nil {
 		t.Fatalf("Poll: %v", err)
 	}
@@ -200,7 +199,7 @@ func TestReplicaNeverSwapsCorruptBlobs(t *testing.T) {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	swapped := 0
-	rep.OnSwap = func(_ *psl.List, seq int) {
+	rep.OnInstall = func(_ *psl.List, seq int, _ string, _ psl.Matcher) {
 		swapped++
 		if got := rep.state.list.Fingerprint(); got != o.Chain().Fingerprint(seq) {
 			t.Errorf("swap %d installed fingerprint %s, chain says %s", seq, got, o.Chain().Fingerprint(seq))
@@ -319,7 +318,6 @@ func TestReplicaBreakerOpensOnTransportFailures(t *testing.T) {
 	defer ts.Close()
 
 	opts := fastOpts()
-	opts.BreakerThreshold = 3
 	opts.BreakerOpenFor = 25 * time.Millisecond
 	rep := NewReplica(ts.URL, opts)
 	ctx := context.Background()
@@ -328,13 +326,13 @@ func TestReplicaBreakerOpensOnTransportFailures(t *testing.T) {
 	}
 
 	armWire(t, "5xx(1)")
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if err := rep.Poll(ctx); err == nil {
 			t.Fatalf("poll %d succeeded through a 100%% 5xx wire", i)
 		}
 	}
 	if got := rep.Breaker().State(); got != resilience.BreakerOpen {
-		t.Fatalf("breaker %v after %d consecutive transport failures, want open", got, 3)
+		t.Fatalf("breaker %v after %d consecutive transport failures, want open", got, breakerThreshold)
 	}
 	err := rep.Poll(ctx)
 	if !errors.Is(err, resilience.ErrOpen) {
@@ -360,9 +358,10 @@ func TestReplicaBreakerOpensOnTransportFailures(t *testing.T) {
 	}
 }
 
-// TestReplicaBudgetExhaustionEndsCycle: with a tiny retry budget, a
-// poisoned wire exhausts it and the cycle ends with a budget error
-// instead of retrying without bound.
+// TestReplicaBudgetExhaustionEndsCycle: a poisoned wire exhausts the
+// retry budget and the cycle ends with a budget error instead of
+// retrying without bound. Each all-corrupt poll spends net ~3.5 tokens
+// of the 16, so the budget runs dry around the fifth poll.
 func TestReplicaBudgetExhaustionEndsCycle(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
@@ -370,10 +369,7 @@ func TestReplicaBudgetExhaustionEndsCycle(t *testing.T) {
 	ts := httptest.NewServer(wire.Wrap(o))
 	defer ts.Close()
 
-	opts := fastOpts()
-	opts.RetryBudget = 2
-	opts.RetryDeposit = 0.01
-	rep := NewReplica(ts.URL, opts)
+	rep := NewReplica(ts.URL, fastOpts())
 	ctx := context.Background()
 	if _, _, err := rep.Bootstrap(ctx, 0); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
@@ -381,7 +377,7 @@ func TestReplicaBudgetExhaustionEndsCycle(t *testing.T) {
 	o.SetHead(20)
 	armWire(t, "bitflip(1)")
 	var err error
-	for i := 0; i < 5 && rep.RetryBudget().Denied() == 0; i++ {
+	for i := 0; i < 10 && rep.RetryBudget().Denied() == 0; i++ {
 		err = rep.Poll(ctx)
 	}
 	if rep.RetryBudget().Denied() == 0 {

@@ -211,11 +211,9 @@ func ReplicaResume(seed int64) Scenario {
 			return &Rig{
 				Close: ts.Close,
 				Workload: func() error {
-					l, seq, err := rep.Bootstrap(ctx, 8)
-					if err != nil {
+					if _, _, err := rep.Bootstrap(ctx, 8); err != nil {
 						return err
 					}
-					rep.SetState(l, seq)
 					if err := rep.Poll(ctx); err != nil {
 						return err
 					}
@@ -233,11 +231,9 @@ func ReplicaResume(seed int64) Scenario {
 						// back to a full verified bootstrap — never a
 						// panic, never an unverified install.
 						restored = false
-						l, seq, berr := rep2.Bootstrap(ctx, -1)
-						if berr != nil {
+						if _, _, berr := rep2.Bootstrap(ctx, -1); berr != nil {
 							return fmt.Errorf("restore failed (%v) and bootstrap fallback failed: %w", err, berr)
 						}
-						rep2.SetState(l, seq)
 					}
 					if err := rep2.Poll(ctx); err != nil {
 						return fmt.Errorf("poll after resume: %w", err)
