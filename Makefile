@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test fmt-check perfbench-check race chaos fleet fleet-heavy torture bench bench-json bench-sanity bench-scaling metrics-lint
+.PHONY: all build test fmt-check perfbench-check race fuzz-short chaos fleet fleet-heavy torture bench bench-json bench-sanity bench-scaling metrics-lint
 
 all: build test
 
@@ -23,6 +23,12 @@ perfbench-check:
 
 race:
 	go test -race ./internal/psl/ ./internal/serve/ ./internal/obs/ ./internal/experiments/ ./internal/dist/ ./internal/resilience/ ./internal/failpoint/ ./internal/chaos/ ./internal/fleet/ ./internal/submit/ ./internal/torture/
+
+# A short coverage-guided run of the write path's differential target:
+# the incremental semantic and risk stages against their full-scan
+# originals on fuzzer-chosen populations and submissions.
+fuzz-short:
+	go test -run '^$$' -fuzz FuzzRiskIncremental -fuzztime 10s ./internal/submit/
 
 # The full chaos replay: origin behind the net.origin failpoint ->
 # replica, six wire fault kinds, crash-restart, goroutine-leak

@@ -188,6 +188,48 @@ func Reverse(name string) string {
 	return strings.Join(labels, ".")
 }
 
+// CompareReversed returns strings.Compare(Reverse(a), Reverse(b))
+// without building either reversed string. It walks both names' labels
+// from the right and compares the bytes of the virtual reversed
+// strings: when one label is a prefix of the other, the shorter side's
+// next byte is '.' if more labels follow and end-of-string otherwise.
+// Comparing label by label instead would be wrong, because '-' (0x2D)
+// sorts before '.' (0x2E): Reverse("ab-c.x") = "x.ab-c" is less than
+// Reverse("y.ab.x") = "x.ab.y", yet label "ab" is less than "ab-c".
+func CompareReversed(a, b string) int {
+	i, j := len(a), len(b) // ends of the current labels
+	for {
+		si := strings.LastIndexByte(a[:i], '.') + 1
+		sj := strings.LastIndexByte(b[:j], '.') + 1
+		la, lb := a[si:i], b[sj:j]
+		n := min(len(la), len(lb))
+		if c := strings.Compare(la[:n], lb[:n]); c != 0 {
+			return c
+		}
+		// The longer label's next byte is never '.', so it never ties
+		// with the '.' that follows the shorter label.
+		switch {
+		case len(la) < len(lb):
+			if si == 0 || lb[n] > '.' {
+				return -1
+			}
+			return 1
+		case len(la) > len(lb):
+			if sj == 0 || la[n] > '.' {
+				return 1
+			}
+			return -1
+		case si == 0 && sj == 0:
+			return 0
+		case si == 0:
+			return -1
+		case sj == 0:
+			return 1
+		}
+		i, j = si-1, sj-1
+	}
+}
+
 // Host extracts the hostname from a URL-ish string without requiring a
 // full URL parse: scheme, userinfo, port, path, query and fragment are
 // stripped. It mirrors the paper's step of reducing each HTTP Archive URL

@@ -1,8 +1,12 @@
 package psl
 
 import (
+	"math/rand"
 	"sort"
+	"strings"
 	"testing"
+
+	"repro/internal/domain"
 )
 
 func TestDiffListsMoved(t *testing.T) {
@@ -87,5 +91,72 @@ func TestCompareRulesZeroMeansSameKey(t *testing.T) {
 	c := Rule{Suffix: "www.ck", Exception: true}
 	if CompareRules(a, c) == 0 {
 		t.Errorf("distinct keys must not compare equal")
+	}
+}
+
+// TestCompareRulesMatchesReverse checks the in-place comparator against
+// its definition, strings.Compare of the materialised reversed
+// suffixes with rank (plain < wildcard < exception) breaking ties. The
+// alphabet includes '-' and '.', whose order is the trap a label-wise
+// comparison falls into, and yields empty labels and equal suffixes.
+func TestCompareRulesMatchesReverse(t *testing.T) {
+	sign := func(c int) int {
+		switch {
+		case c < 0:
+			return -1
+		case c > 0:
+			return 1
+		}
+		return 0
+	}
+	want := func(a, b Rule) int {
+		if c := strings.Compare(domain.Reverse(a.Suffix), domain.Reverse(b.Suffix)); c != 0 {
+			return c
+		}
+		return sign(rank(a) - rank(b))
+	}
+	kinds := []Rule{{}, {Wildcard: true}, {Exception: true}}
+	check := func(a, b Rule) {
+		t.Helper()
+		if got, w := sign(CompareRules(a, b)), want(a, b); got != w {
+			t.Fatalf("CompareRules(%v, %v) = %d, want %d", a, b, got, w)
+		}
+	}
+	check(Rule{Suffix: "x.ab-c"}, Rule{Suffix: "x.ab.y"})
+	check(Rule{Suffix: "ab-c.x"}, Rule{Suffix: "y.ab.x"})
+	rng := rand.New(rand.NewSource(1))
+	name := func() string {
+		const alphabet = "ab0-."
+		b := make([]byte, rng.Intn(7))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for i := 0; i < 200000; i++ {
+		a, b := kinds[rng.Intn(3)], kinds[rng.Intn(3)]
+		a.Suffix = name()
+		if rng.Intn(8) == 0 {
+			b.Suffix = a.Suffix
+		} else {
+			b.Suffix = name()
+		}
+		check(a, b)
+	}
+}
+
+// TestCompareRulesZeroAlloc guards the canonical comparator every sort
+// of a rule set runs: it must not allocate.
+func TestCompareRulesZeroAlloc(t *testing.T) {
+	pairs := [][2]Rule{
+		{{Suffix: "city.kobe.jp"}, {Suffix: "www.city.kobe.jp", Exception: true}},
+		{{Suffix: "x.ab-c"}, {Suffix: "x.ab.y"}},
+		{{Suffix: "ck", Wildcard: true}, {Suffix: "ck"}},
+		{{Suffix: "a.b.c.d.e.com"}, {Suffix: "a.b.c.d.e.com"}},
+	}
+	for _, p := range pairs {
+		if n := testing.AllocsPerRun(200, func() { CompareRules(p[0], p[1]) }); n != 0 {
+			t.Errorf("CompareRules(%v, %v) allocates %.1f/op, want 0", p[0], p[1], n)
+		}
 	}
 }

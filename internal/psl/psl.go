@@ -43,6 +43,11 @@ func normalize(name string) (string, error) {
 	return ascii, nil
 }
 
+// Canonical returns the canonical ASCII form the lookups match a name
+// on. It fails, wrapping ErrNotDomain, exactly where SiteOrSelf falls
+// back to returning its input unchanged.
+func Canonical(name string) (string, error) { return normalize(name) }
+
 // PublicSuffix returns the public suffix (eTLD) of the name under this
 // list version, and whether the prevailing rule came from the ICANN
 // section. Unlisted TLDs fall back to the implicit "*" rule, matching

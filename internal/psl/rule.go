@@ -184,23 +184,28 @@ func CompareRules(a, b Rule) int { return compareRules(a, b) }
 // compareRules orders rules canonically: by reversed suffix (hierarchical
 // order), with plain rules before wildcards before exceptions at the same
 // suffix. Used for deterministic serialization and diffing.
+//
+// It allocates nothing: domain.CompareReversed walks both suffixes'
+// labels from the right in place and compares the bytes of the virtual
+// reversed strings, the order strings.Compare(domain.Reverse(a.Suffix),
+// domain.Reverse(b.Suffix)) defines. A label-wise comparison would not
+// be the same order, since '-' sorts before the '.' that ends a label:
+// reversed "x.ab-c" precedes "x.ab.y".
 func compareRules(a, b Rule) int {
-	ra, rb := domain.Reverse(a.Suffix), domain.Reverse(b.Suffix)
-	if ra != rb {
-		if ra < rb {
-			return -1
-		}
-		return 1
-	}
-	rank := func(r Rule) int {
-		switch {
-		case r.Exception:
-			return 2
-		case r.Wildcard:
-			return 1
-		default:
-			return 0
-		}
+	if c := domain.CompareReversed(a.Suffix, b.Suffix); c != 0 {
+		return c
 	}
 	return rank(a) - rank(b)
+}
+
+// rank orders the rule kinds sharing one suffix.
+func rank(r Rule) int {
+	switch {
+	case r.Exception:
+		return 2
+	case r.Wildcard:
+		return 1
+	default:
+		return 0
+	}
 }

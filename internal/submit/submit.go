@@ -235,6 +235,12 @@ type Pipeline struct {
 	persistFailures obs.Counter
 	// quarantined counts corrupt records renamed aside at load time.
 	quarantined obs.Counter
+
+	// pop indexes Config.Population for the risk stage. It is built on
+	// the first risk run, not in New, so a pipeline that never scores a
+	// submission never pays for it.
+	popOnce sync.Once
+	pop     *popIndex
 }
 
 // stageIndex maps a stage name to its counter slot.
@@ -409,12 +415,11 @@ func (p *Pipeline) Process(id string) (*Submission, error) {
 	}
 
 	// Stage 1: lint.
-	added, removed, v := p.runLint(req, old)
+	added, removed, next, v := p.runLint(req, old)
 	p.recordVerdict(id, v)
 	if !v.Passed {
 		return p.finish(id, StateRejected, StageLint)
 	}
-	next := old.WithoutRules(removed...).WithRules(added...)
 
 	// Stage 2: semantic validation (differential across all matchers).
 	if v = p.runSemantic(old, next, added, removed); !v.Passed {
@@ -552,8 +557,9 @@ func parseChange(c Change) (rule psl.Rule, isAdd bool, err error) {
 // runLint grades the submission's surface form: every change must
 // parse, no change may repeat, removals must name present rules and
 // additions absent ones, and the resulting list must stay lint-clean
-// for every finding attributable to a changed rule.
-func (p *Pipeline) runLint(req Request, old *psl.List) (added, removed []psl.Rule, v Verdict) {
+// for every finding attributable to a changed rule. On a pass it also
+// returns that resulting list.
+func (p *Pipeline) runLint(req Request, old *psl.List) (added, removed []psl.Rule, next *psl.List, v Verdict) {
 	var findings []string
 	type parsed struct {
 		idx   int
@@ -611,17 +617,17 @@ func (p *Pipeline) runLint(req Request, old *psl.List) (added, removed []psl.Rul
 		}
 	}
 	if len(findings) > 0 {
-		return nil, nil, p.verdict(StageLint, false,
+		return nil, nil, nil, p.verdict(StageLint, false,
 			fmt.Sprintf("%d change(s) failed lint", len(findings)), findings)
 	}
 
 	// Lint the would-be list; only findings attributable to the changed
 	// rules count against the submission (pre-existing list warts must
 	// not block an innocent change).
-	next := old.WithoutRules(removed...).WithRules(added...)
+	next = old.WithoutRules(removed...).WithRules(added...)
 	fs, err := psl.LintString(next.Serialize())
 	if err != nil {
-		return nil, nil, p.verdict(StageLint, false, "lint failed to run: "+err.Error(), nil)
+		return nil, nil, nil, p.verdict(StageLint, false, "lint failed to run: "+err.Error(), nil)
 	}
 	for _, f := range fs {
 		if f.Severity >= psl.SeverityWarning && changedKeys[f.Rule] {
@@ -629,10 +635,10 @@ func (p *Pipeline) runLint(req Request, old *psl.List) (added, removed []psl.Rul
 		}
 	}
 	if len(findings) > 0 {
-		return nil, nil, p.verdict(StageLint, false,
+		return nil, nil, nil, p.verdict(StageLint, false,
 			"resulting list has lint findings on changed rules", findings)
 	}
-	return added, removed, p.verdict(StageLint, true,
+	return added, removed, next, p.verdict(StageLint, true,
 		fmt.Sprintf("%d addition(s), %d removal(s) lint clean", len(added), len(removed)), nil)
 }
 
@@ -686,16 +692,31 @@ func (p *Pipeline) runSemantic(old, next *psl.List, added, removed []psl.Rule) V
 			findings = append(findings, fmt.Sprintf("exception %q has no covering wildcard *.%s in the resulting list", r.String(), parent))
 		}
 	}
-	// Removing a wildcard must not orphan surviving exceptions.
+	// Removing a wildcard must not orphan surviving exceptions. One pass
+	// over the resulting list collects the exceptions under each removed
+	// wildcard that no surviving wildcard covers.
+	orphans := make(map[string][]psl.Rule)
 	for _, r := range removed {
-		if !r.Wildcard {
-			continue
+		if r.Wildcard && !coversWildcard(next, r.Suffix) {
+			orphans[r.Suffix] = nil
 		}
+	}
+	if len(orphans) > 0 {
 		for _, e := range next.Rules() {
 			if !e.Exception {
 				continue
 			}
-			if parent, ok := parentSuffix(e.Suffix); ok && parent == r.Suffix && !coversWildcard(next, parent) {
+			if parent, ok := parentSuffix(e.Suffix); ok {
+				if es, ok := orphans[parent]; ok {
+					orphans[parent] = append(es, e)
+				}
+			}
+		}
+		for _, r := range removed {
+			if !r.Wildcard {
+				continue
+			}
+			for _, e := range orphans[r.Suffix] {
 				findings = append(findings, fmt.Sprintf("removing %q orphans exception %q", r.String(), e.String()))
 			}
 		}
@@ -728,8 +749,12 @@ func (p *Pipeline) runSemantic(old, next *psl.List, added, removed []psl.Rule) V
 
 	// The delta must change the rule-set fingerprint — fingerprints
 	// ignore Section, so a pure section move is invisible to the
-	// manifest ETag and would stall every conditional poller.
-	if old.Fingerprint() == next.Fingerprint() {
+	// manifest ETag and would stall every conditional poller. Lint has
+	// established that every added rule is absent from old unless also
+	// removed, and every removed rule is present, so next keeps old's
+	// rule keys (and fingerprint) exactly when the added and removed key
+	// sets are equal.
+	if sameKeys(added, removed) {
 		findings = append(findings, "delta does not change the rule-set fingerprint (pure section move or no-op)")
 	}
 
@@ -826,13 +851,19 @@ func (p *Pipeline) runAuthorization(id string, added, removed []psl.Rule) Verdic
 // runRisk replays the harm pipeline on a sandbox old-vs-new compile:
 // for every hostname in the population, does its registrable domain
 // (and with it every cached cookie scope) flip if this delta deploys?
+// Only hosts at or below a changed rule's suffix can flip, so only
+// those are evaluated, in population order; the rest are counted in
+// Population as unchanged.
 func (p *Pipeline) runRisk(old, next *psl.List, added, removed []psl.Rule) (*RiskReport, Verdict) {
 	r := &RiskReport{
 		MaxFlipFraction: p.cfg.MaxFlipFraction,
 	}
-	if p.cfg.Population != nil {
-		r.Population = len(p.cfg.Population.Hosts)
-		for _, h := range p.cfg.Population.Hosts {
+	changed := append(append([]psl.Rule(nil), added...), removed...)
+	if pop := p.cfg.Population; pop != nil {
+		p.popOnce.Do(func() { p.pop = newPopIndex(pop.Hosts) })
+		r.Population = len(pop.Hosts)
+		for _, i := range p.pop.affected(changed) {
+			h := pop.Hosts[i]
 			os, ns := old.SiteOrSelf(h), next.SiteOrSelf(h)
 			if os == ns {
 				continue
@@ -855,7 +886,7 @@ func (p *Pipeline) runRisk(old, next *psl.List, added, removed []psl.Rule) (*Ris
 	// direction even when nobody in the population lives there. They
 	// size nothing — a change affecting only its own subtree is exactly
 	// the low-risk case — so they feed the sample list, not the gate.
-	for _, rule := range append(append([]psl.Rule(nil), added...), removed...) {
+	for _, rule := range changed {
 		for _, h := range probesFor(rule) {
 			os, ns := old.SiteOrSelf(h), next.SiteOrSelf(h)
 			if os == ns || len(r.SampleFlips) >= p.cfg.MaxSampleFlips {
@@ -885,11 +916,22 @@ func parentSuffix(s string) (string, bool) {
 
 // coversWildcard reports whether the list holds a wildcard rule at the
 // given base suffix.
-func coversWildcard(l *psl.List, base string) bool {
-	for _, r := range l.Rules() {
-		if r.Wildcard && r.Suffix == base {
-			return true
+func coversWildcard(l *psl.List, base string) bool { return l.ContainsSuffix("*." + base) }
+
+// sameKeys reports whether two duplicate-free rule sets hold the same
+// canonical keys (Section aside).
+func sameKeys(a, b []psl.Rule) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	keys := make(map[string]bool, len(a))
+	for _, r := range a {
+		keys[r.String()] = true
+	}
+	for _, r := range b {
+		if !keys[r.String()] {
+			return false
 		}
 	}
-	return false
+	return true
 }
